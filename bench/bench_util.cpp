@@ -434,23 +434,16 @@ double geomean(const std::vector<double>& xs) {
 
 bool write_bench_json(const std::string& path,
                       const std::vector<BenchRow>& rows) {
-  auto escaped = [](const std::string& s) {
-    std::string out;
-    for (const char ch : s) {
-      if (ch == '"' || ch == '\\') out += '\\';
-      out += ch;
-    }
-    return out;
-  };
   std::string out = "{\n  \"version\": 1,\n  \"benchmarks\": [";
   bool first = true;
   for (const BenchRow& r : rows) {
     out += first ? "\n" : ",\n";
     first = false;
     out += strprintf(
-        "    {\"name\": \"%s\", \"ns_per_op\": %.17g, "
+        "    {\"name\": %s, \"ns_per_op\": %.17g, "
         "\"items_per_s\": %.17g, \"bytes_per_s\": %.17g}",
-        escaped(r.name).c_str(), r.ns_per_op, r.items_per_s, r.bytes_per_s);
+        obs::json_string(r.name).c_str(), r.ns_per_op, r.items_per_s,
+        r.bytes_per_s);
   }
   out += "\n  ]\n}\n";
   return obs::write_text_file_atomic(path, out);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -33,170 +32,15 @@ std::string& env_path() {
   return p;
 }
 
-// ---- JSON writing -----------------------------------------------------------
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char ch : s) {
-    switch (ch) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          out += strprintf("\\u%04x", ch);
-        } else {
-          out += ch;
-        }
-    }
-  }
-  out += '"';
-}
-
-// ---- JSON reading -----------------------------------------------------------
-//
-// A minimal cursor parser instead of the calibration store's field scanner:
-// plan keys embed format signatures (braces, brackets, quotes-worth of
-// punctuation), so entry boundaries can only be found with full string
-// awareness. Structural errors poison the cursor and reject the whole
-// document; a well-formed entry with unusable content is skipped alone.
-
-struct Cursor {
-  const std::string& s;
-  size_t p = 0;
-  bool ok = true;
-
-  void ws() {
-    while (p < s.size() && std::isspace(static_cast<unsigned char>(s[p]))) {
-      ++p;
-    }
-  }
-  bool peek(char c) {
-    ws();
-    return p < s.size() && s[p] == c;
-  }
-  bool eat(char c) {
-    if (peek(c)) {
-      ++p;
-      return true;
-    }
-    ok = false;
-    return false;
-  }
-
-  std::string string() {
-    std::string out;
-    if (!eat('"')) return out;
-    while (p < s.size()) {
-      const char ch = s[p++];
-      if (ch == '"') return out;
-      if (ch != '\\') {
-        out += ch;
-        continue;
-      }
-      if (p >= s.size()) break;
-      const char esc = s[p++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (p + 4 > s.size()) {
-            ok = false;
-            return out;
-          }
-          const long code = std::strtol(s.substr(p, 4).c_str(), nullptr, 16);
-          p += 4;
-          // Keys only ever escape control characters; anything wider is
-          // replaced, not reconstructed.
-          out += code > 0 && code < 256 ? static_cast<char>(code) : '?';
-          break;
-        }
-        default:
-          ok = false;
-          return out;
-      }
-    }
-    ok = false;  // unterminated
-    return out;
-  }
-
-  double number() {
-    ws();
-    char* end = nullptr;
-    const double v = std::strtod(s.c_str() + p, &end);
-    if (end == s.c_str() + p) {
-      ok = false;
-      return 0;
-    }
-    p = static_cast<size_t>(end - s.c_str());
-    return v;
-  }
-
-  void skip_value() {
-    ws();
-    if (p >= s.size()) {
-      ok = false;
-      return;
-    }
-    const char c = s[p];
-    if (c == '"') {
-      string();
-    } else if (c == '{' || c == '[') {
-      const char close = c == '{' ? '}' : ']';
-      eat(c);
-      if (peek(close)) {
-        eat(close);
-        return;
-      }
-      while (ok) {
-        if (c == '{') {
-          string();
-          if (!eat(':')) return;
-        }
-        skip_value();
-        if (peek(',')) {
-          eat(',');
-          continue;
-        }
-        eat(close);
-        return;
-      }
-    } else if (c == 't' || c == 'f' || c == 'n') {
-      while (p < s.size() &&
-             std::isalpha(static_cast<unsigned char>(s[p]))) {
-        ++p;
-      }
-    } else {
-      number();
-    }
-  }
-};
-
 // Parses one plan entry object. Returns false (entry skipped) if required
 // fields are missing or its content is from a future build; structural
-// damage poisons the cursor instead.
-bool parse_entry(Cursor& c, StoredPlan* e) {
-  if (!c.eat('{')) return false;
+// damage poisons the cursor instead, rejecting the whole document.
+bool parse_entry(obs::JsonCursor& c, StoredPlan* e) {
   bool have_key = false;
   bool have_sig = false;
   std::string unit;
-  if (c.peek('}')) {
-    c.eat('}');
-    return false;
-  }
-  while (c.ok) {
-    const std::string f = c.string();
-    if (!c.eat(':')) return false;
-    Recipe& r = e->plan.recipe;
+  Recipe& r = e->plan.recipe;
+  c.object([&](const std::string& f) {
     if (f == "key") {
       e->structural = c.string();
       have_key = true;
@@ -227,13 +71,7 @@ bool parse_entry(Cursor& c, StoredPlan* e) {
     } else {
       c.skip_value();
     }
-    if (c.peek(',')) {
-      c.eat(',');
-      continue;
-    }
-    c.eat('}');
-    break;
-  }
+  });
   if (!c.ok || !have_key || !have_sig) return false;
   auto fps = data::parse_fingerprints(e->sig);
   if (!fps) return false;
@@ -241,7 +79,7 @@ bool parse_entry(Cursor& c, StoredPlan* e) {
   if (!unit.empty()) {
     const auto u = sched::parse_parallel_unit(unit);
     if (!u) return false;
-    e->plan.recipe.unit = *u;
+    r.unit = *u;
   }
   return true;
 }
@@ -312,9 +150,9 @@ std::string plan_store_json(const std::vector<StoredPlan>& entries) {
     first = false;
     const Recipe& r = e.plan.recipe;
     out += "    {\"key\": ";
-    append_escaped(out, e.structural);
+    obs::append_escaped(out, e.structural);
     out += ", \"sig\": ";
-    append_escaped(out, e.sig);
+    obs::append_escaped(out, e.sig);
     out += strprintf(
         ", \"cost\": %.17g, \"used\": %lld, \"pos\": %d, \"pieces\": %d, "
         "\"py\": %d, \"pz\": %d, \"fuse\": %d",
@@ -324,11 +162,11 @@ std::string plan_store_json(const std::vector<StoredPlan>& entries) {
         r.position_space ? 1 : 0, r.pieces, r.pieces_y, r.pieces_z,
         r.fuse_depth);
     out += ", \"split\": ";
-    append_escaped(out, r.split_tensor);
+    obs::append_escaped(out, r.split_tensor);
     out += strprintf(", \"comm\": %d", r.communicate_all ? 1 : 0);
     out += ", \"unit\": ";
-    append_escaped(out,
-                   r.unit ? sched::parallel_unit_name(*r.unit) : "");
+    obs::append_escaped(out,
+                        r.unit ? sched::parallel_unit_name(*r.unit) : "");
     out += "}";
   }
   out += "\n  ]\n}\n";
@@ -337,46 +175,24 @@ std::string plan_store_json(const std::vector<StoredPlan>& entries) {
 
 std::vector<StoredPlan> parse_plan_store(const std::string& doc) {
   std::vector<StoredPlan> out;
-  Cursor c{doc};
-  if (!c.eat('{')) return {};
-  bool version_ok = false;
-  if (c.peek('}')) return {};  // no version field -> reject
-  while (c.ok) {
-    const std::string field = c.string();
-    if (!c.eat(':')) break;
+  int version = 0;
+  obs::JsonCursor c(doc);
+  c.object([&](const std::string& field) {
     if (field == "version") {
-      const int v = static_cast<int>(c.number());
-      if (v < kOldestReadableVersion || v > kSchemaVersion) return {};
-      version_ok = true;
+      version = static_cast<int>(c.number());
     } else if (field == "plans") {
-      if (!c.eat('[')) break;
-      if (c.peek(']')) {
-        c.eat(']');
-      } else {
-        while (c.ok) {
-          StoredPlan e;
-          const bool valid = parse_entry(c, &e);
-          if (!c.ok) break;
-          if (valid) out.push_back(std::move(e));
-          if (c.peek(',')) {
-            c.eat(',');
-            continue;
-          }
-          c.eat(']');
-          break;
-        }
-      }
+      c.array([&] {
+        StoredPlan e;
+        if (parse_entry(c, &e)) out.push_back(std::move(e));
+      });
     } else {
       c.skip_value();
     }
-    if (c.peek(',')) {
-      c.eat(',');
-      continue;
-    }
-    c.eat('}');
-    break;
+  });
+  if (!c.ok || !c.at_end() || version < kOldestReadableVersion ||
+      version > kSchemaVersion) {
+    return {};
   }
-  if (!c.ok || !version_ok) return {};
   return out;
 }
 

@@ -19,10 +19,10 @@
 //
 // The on-disk document is versioned JSON (schema v2; v1 documents — which
 // predate the "used" stamp — still load, their entries stamped 0 and thus
-// first in line for eviction), modeled on the calibration store: unknown
-// schema versions and corrupt documents are rejected wholesale (never
-// partially applied), and writers re-read, union, and tmp+rename so
-// concurrent processes sharing one file lose no entries.
+// first in line for eviction), read and written through obs/persist.h like
+// the calibration store: unknown schema versions and corrupt documents are
+// rejected wholesale (never partially applied), and writers re-read, union,
+// and tmp+rename so concurrent processes sharing one file lose no entries.
 #pragma once
 
 #include <cstdint>

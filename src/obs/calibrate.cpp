@@ -75,54 +75,59 @@ CalibRates merge_rates(const CalibRates& a, const CalibRates& b) {
   return r;
 }
 
-// --- minimal scanner for the versioned calibration JSON ----------------------
-
-// Number following `"field":` at or after `from`, restricted to [from, end).
-bool scan_field(const std::string& doc, size_t from, size_t end,
-                const char* field, double* out) {
-  const std::string needle = std::string("\"") + field + "\"";
-  size_t p = doc.find(needle, from);
-  if (p == std::string::npos || p >= end) return false;
-  p = doc.find(':', p + needle.size());
-  if (p == std::string::npos || p >= end) return false;
-  char* stop = nullptr;
-  const double v = std::strtod(doc.c_str() + p + 1, &stop);
-  if (stop == doc.c_str() + p + 1) return false;
-  *out = v;
-  return true;
+// The versioned document: {"version": 1, "rates": {"kernel|KIND":
+// {"wall_per_flop": f, "wall_per_byte": b, "samples": n}, ...}}.
+std::string rates_json(const std::map<std::string, CalibRates>& rates) {
+  std::string out = strprintf("{\"version\": %d, \"rates\": {", kSchemaVersion);
+  bool first = true;
+  for (const auto& [key, r] : rates) {
+    out += first ? "\n  " : ",\n  ";
+    first = false;
+    append_escaped(out, key);
+    out += strprintf(
+        ": {\"wall_per_flop\": %.17g, \"wall_per_byte\": %.17g, "
+        "\"samples\": %llu}",
+        r.wall_per_flop, r.wall_per_byte,
+        static_cast<unsigned long long>(r.samples));
+  }
+  out += "\n}}\n";
+  return out;
 }
 
+// Empty for a malformed document or another schema version; an entry
+// without samples is skipped on its own.
 std::map<std::string, CalibRates> parse_rates(const std::string& doc) {
   std::map<std::string, CalibRates> out;
-  double version = 0;
-  if (!scan_field(doc, 0, doc.size(), "version", &version) ||
-      static_cast<int>(version) != kSchemaVersion) {
-    return out;
-  }
-  size_t p = doc.find("\"rates\"");
-  if (p == std::string::npos) return out;
-  p = doc.find('{', p);
-  if (p == std::string::npos) return out;
-  // Entries: "key": {"wall_per_flop": f, "wall_per_byte": b, "samples": n}
-  while (true) {
-    const size_t k0 = doc.find('"', p + 1);
-    if (k0 == std::string::npos) break;
-    const size_t k1 = doc.find('"', k0 + 1);
-    if (k1 == std::string::npos) break;
-    const size_t open = doc.find('{', k1 + 1);
-    if (open == std::string::npos) break;
-    const size_t close = doc.find('}', open + 1);
-    if (close == std::string::npos) break;
-    CalibRates r;
-    double f = 0;
-    if (scan_field(doc, open, close, "wall_per_flop", &f)) r.wall_per_flop = f;
-    if (scan_field(doc, open, close, "wall_per_byte", &f)) r.wall_per_byte = f;
-    if (scan_field(doc, open, close, "samples", &f) && f > 0) {
-      r.samples = static_cast<uint64_t>(f);
+  int version = 0;
+  JsonCursor c(doc);
+  c.object([&](const std::string& field) {
+    if (field == "version") {
+      version = static_cast<int>(c.number());
+    } else if (field == "rates") {
+      c.object([&](const std::string& key) {
+        CalibRates r;
+        double samples = 0;
+        c.object([&](const std::string& f) {
+          if (f == "wall_per_flop") {
+            r.wall_per_flop = c.number();
+          } else if (f == "wall_per_byte") {
+            r.wall_per_byte = c.number();
+          } else if (f == "samples") {
+            samples = c.number();
+          } else {
+            c.skip_value();
+          }
+        });
+        if (samples >= 1 && samples < 1e19) {
+          r.samples = static_cast<uint64_t>(samples);
+          out[key] = r;
+        }
+      });
+    } else {
+      c.skip_value();
     }
-    if (r.samples > 0) out[doc.substr(k0 + 1, k1 - k0 - 1)] = r;
-    p = close;
-  }
+  });
+  if (!c.ok || !c.at_end() || version != kSchemaVersion) return {};
   return out;
 }
 
@@ -139,21 +144,17 @@ void init_from_env() {
     Calibration& c = Calibration::global();
     std::string doc;
     if (read_text_file(env_path(), &doc)) {
-      const auto current = parse_rates(doc);
       const auto& base = startup_snapshot();
-      for (const auto& [key, r] : current) {
+      std::map<std::string, CalibRates> appended;
+      for (const auto& [key, r] : parse_rates(doc)) {
         auto it = base.find(key);
         const uint64_t seen = it != base.end() ? it->second.samples : 0;
         if (r.samples <= seen) continue;
         CalibRates delta = r;
         delta.samples = r.samples - seen;
-        c.merge_json(strprintf(
-            "{\"version\": %d, \"rates\": {\"%s\": {\"wall_per_flop\": "
-            "%.17g, \"wall_per_byte\": %.17g, \"samples\": %llu}}}",
-            kSchemaVersion, key.c_str(), delta.wall_per_flop,
-            delta.wall_per_byte,
-            static_cast<unsigned long long>(delta.samples)));
+        appended[key] = delta;
       }
+      c.merge_json(rates_json(appended));
     }
     if (!c.save(env_path())) {
       std::fprintf(stderr, "spdistal: failed to write calibration to %s\n",
@@ -258,18 +259,7 @@ void Calibration::clear() {
 
 std::string Calibration::json() const {
   std::lock_guard<std::mutex> lk(mu_);
-  std::string out = strprintf("{\"version\": %d, \"rates\": {", kSchemaVersion);
-  bool first = true;
-  for (const auto& [key, r] : rates_) {
-    out += strprintf(
-        "%s\n  \"%s\": {\"wall_per_flop\": %.17g, \"wall_per_byte\": %.17g, "
-        "\"samples\": %llu}",
-        first ? "" : ",", key.c_str(), r.wall_per_flop, r.wall_per_byte,
-        static_cast<unsigned long long>(r.samples));
-    first = false;
-  }
-  out += "\n}}\n";
-  return out;
+  return rates_json(rates_);
 }
 
 size_t Calibration::merge_json(const std::string& doc) {

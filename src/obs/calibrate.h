@@ -16,8 +16,8 @@
 // calib.loaded_rates) and at process exit re-reads it, merges the two rate
 // sets samples-weighted, and atomically rewrites (tmp file + rename) — so
 // concurrent processes sharing one file lose at most one process's samples,
-// never the file's integrity. The schema is versioned; unknown versions are
-// ignored on load.
+// never the file's integrity. The schema is versioned; malformed documents
+// and unknown versions are ignored on load (obs/persist.h's reader).
 //
 // Cost contract: with calibration disabled, record() is one relaxed atomic
 // load. set_calibration(false) forces the cost model onto the static path,
@@ -77,7 +77,9 @@ class Calibration {
   // Versioned JSON: {"version": 1, "rates": {"kernel|KIND": {...}, ...}}.
   std::string json() const;
   // Parses `doc` and merges its rates samples-weighted into this store.
-  // Returns the number of rate entries merged (0 on schema mismatch).
+  // Returns the number of rate entries merged: 0 for a malformed document
+  // or an unknown schema version (nothing is merged); an entry without
+  // samples is skipped on its own.
   size_t merge_json(const std::string& doc);
 
   // File I/O. load() merges the file into the store; save() writes

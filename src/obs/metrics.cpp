@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "obs/persist.h"
+
 namespace spdistal::obs {
 
 namespace {
@@ -21,30 +23,6 @@ bool enabled_from_env() {
 }
 
 std::atomic<bool> g_enabled_init{false};
-
-// JSON string escaping for metric/event names (quotes, backslashes,
-// control characters).
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // Doubles rendered with enough digits to round-trip, but as plain decimals
 // (python -m json.tool friendly).
@@ -146,28 +124,28 @@ std::string Metrics::json() const {
   os << "{\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, c] : counters_) {
-    os << (first ? "\n" : ",\n") << "    \"" << escape(name)
-       << "\": " << c->value();
+    os << (first ? "\n" : ",\n") << "    " << json_string(name)
+       << ": " << c->value();
     first = false;
   }
   for (const auto& [name, c] : counterds_) {
-    os << (first ? "\n" : ",\n") << "    \"" << escape(name)
-       << "\": " << num(c->value());
+    os << (first ? "\n" : ",\n") << "    " << json_string(name)
+       << ": " << num(c->value());
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
   first = true;
   for (const auto& [name, g] : gauges_) {
-    os << (first ? "\n" : ",\n") << "    \"" << escape(name)
-       << "\": {\"value\": " << g->value() << ", \"max\": " << g->max()
+    os << (first ? "\n" : ",\n") << "    " << json_string(name)
+       << ": {\"value\": " << g->value() << ", \"max\": " << g->max()
        << "}";
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
   first = true;
   for (const auto& [name, h] : histograms_) {
-    os << (first ? "\n" : ",\n") << "    \"" << escape(name)
-       << "\": {\"count\": " << h->count() << ", \"sum\": " << num(h->sum())
+    os << (first ? "\n" : ",\n") << "    " << json_string(name)
+       << ": {\"count\": " << h->count() << ", \"sum\": " << num(h->sum())
        << ", \"buckets\": [";
     bool bfirst = true;
     for (int b = 0; b < Histogram::kBuckets; ++b) {

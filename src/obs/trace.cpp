@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/str_util.h"
+#include "obs/persist.h"
 
 namespace spdistal::obs {
 
@@ -14,28 +15,6 @@ namespace {
 // Thread-local host-track id; -1 until assigned by host_tid().
 thread_local int tls_host_tid = -1;
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // One trace-event JSON object. Timestamps are rendered with fixed precision
 // so identical inputs always produce identical bytes (the simulated track's
 // bit-identity contract rides on this).
@@ -43,9 +22,9 @@ std::string event_line(int pid, int tid, const char* cat,
                        const std::string& name, double ts_us, double dur_us,
                        const std::string& args_json) {
   std::string line = strprintf(
-      "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", \"ts\": %.3f, "
+      "{\"name\": %s, \"cat\": \"%s\", \"ph\": \"X\", \"ts\": %.3f, "
       "\"dur\": %.3f, \"pid\": %d, \"tid\": %d",
-      escape(name).c_str(), cat, ts_us, dur_us, pid, tid);
+      json_string(name).c_str(), cat, ts_us, dur_us, pid, tid);
   if (!args_json.empty()) {
     line += ", \"args\": " + args_json;
   }
@@ -58,9 +37,9 @@ std::string event_line(int pid, int tid, const char* cat,
 std::string flow_line(int pid, int tid, char ph, uint64_t id, const char* cat,
                       const std::string& name, double ts_us) {
   return strprintf(
-      "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%c\", \"id\": %llu, "
+      "{\"name\": %s, \"cat\": \"%s\", \"ph\": \"%c\", \"id\": %llu, "
       "\"ts\": %.3f, \"pid\": %d, \"tid\": %d%s}",
-      escape(name).c_str(), cat, ph, static_cast<unsigned long long>(id),
+      json_string(name).c_str(), cat, ph, static_cast<unsigned long long>(id),
       ts_us, pid, tid, ph == 'f' ? ", \"bp\": \"e\"" : "");
 }
 
@@ -176,9 +155,9 @@ void TraceRecorder::host_instant(const char* cat, const std::string& name) {
   const int tid = host_tid();
   push(host_events_,
        Event{strprintf(
-                 "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"i\", "
+                 "{\"name\": %s, \"cat\": \"%s\", \"ph\": \"i\", "
                  "\"ts\": %.3f, \"pid\": %d, \"tid\": %d, \"s\": \"t\"}",
-                 escape(name).c_str(), cat, wall_us(), kHostPid, tid),
+                 json_string(name).c_str(), cat, wall_us(), kHostPid, tid),
              0, 0});
 }
 
@@ -273,10 +252,10 @@ std::string TraceRecorder::json() const {
   auto meta = [](int pid, int tid, const char* what, const std::string& name) {
     return strprintf(
         "{\"name\": \"%s\", \"ph\": \"M\", \"pid\": %d%s, \"args\": "
-        "{\"name\": \"%s\"}}",
+        "{\"name\": %s}}",
         what, pid,
         tid >= 0 ? strprintf(", \"tid\": %d", tid).c_str() : "",
-        escape(name).c_str());
+        json_string(name).c_str());
   };
   lines.push_back(meta(kSimPid, -1, "process_name", "simulated timeline"));
   lines.push_back(meta(kHostPid, -1, "process_name", "host timeline"));

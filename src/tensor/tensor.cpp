@@ -93,6 +93,9 @@ Statement& TensorAccess::define(const BoundExpr& rhs, bool accumulate) {
                       accumulate};
   stmt.bindings = merge_bindings(rhs.bindings,
                                  {{tensor_->name(), *tensor_}});
+  Tensor& self = stmt.bindings.at(tensor_->name());
+  self.data_ = std::shared_ptr<Tensor::Data>(std::shared_ptr<Tensor::Data>(),
+                                             self.data_.get());
   tensor_->data_->definition = std::move(stmt);
   return *tensor_->data_->definition;
 }

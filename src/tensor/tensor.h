@@ -19,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "format/storage.h"
@@ -75,6 +76,8 @@ class TensorAccess {
 
   operator BoundExpr() const;
   // Records `this = rhs` as the defining statement of the accessed tensor.
+  // The returned statement lives as long as that tensor (any handle to it);
+  // it keeps the rhs operands alive.
   Statement& operator=(const BoundExpr& rhs);
   Statement& operator+=(const BoundExpr& rhs);
   // Access-to-access assignment is a statement too (e.g. A(i,j) = s(i)),
@@ -97,6 +100,14 @@ class Tensor {
   Tensor() = default;
   Tensor(std::string name, std::vector<Coord> dims, fmt::Format format,
          std::optional<tdn::Distribution> distribution = std::nullopt);
+  // Copies always own the tensor, even when copied from the non-owning
+  // self-binding inside its own definition (see Data below).
+  Tensor(const Tensor& o) : data_(o.owning()) {}
+  Tensor(Tensor&&) = default;
+  Tensor& operator=(Tensor o) {
+    data_ = std::move(o.data_);
+    return *this;
+  }
 
   const std::string& name() const;
   const std::vector<Coord>& dims() const;
@@ -145,7 +156,12 @@ class Tensor {
 
  private:
   friend class TensorAccess;
-  struct Data {
+  // The defining statement binds the tensor it defines, so the binding
+  // stored in Data::definition is a non-owning handle (an alias with an
+  // empty owner): owning itself would be a cycle that leaks the tensor and
+  // every operand it keeps alive. It stays valid while any owning handle
+  // lives, because the statement lives inside the tensor's own Data.
+  struct Data : std::enable_shared_from_this<Data> {
     std::string name;
     std::vector<Coord> dims;
     fmt::Format format;
@@ -155,6 +171,11 @@ class Tensor {
     std::optional<Statement> definition;
     sched::Schedule schedule;
   };
+  std::shared_ptr<Data> owning() const {
+    return data_ != nullptr && data_.use_count() == 0
+               ? data_->shared_from_this()
+               : data_;
+  }
   std::shared_ptr<Data> data_;
 };
 

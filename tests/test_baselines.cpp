@@ -176,12 +176,13 @@ TEST(TrilinosLike, SpAdd3SlowerThanPetsc) {
     B.from_coo(coo);
     C.from_coo(data::shift_last_dim(coo, 1));
     D.from_coo(data::shift_last_dim(coo, 2));
-    return &(A(i, j) = B(i, j) + C(i, j) + D(i, j));
+    Statement* stmt = &(A(i, j) = B(i, j) + C(i, j) + D(i, j));
+    return std::make_pair(A, stmt);  // the statement lives as long as A
   };
   LibrarySystem petsc = make_petsc_like(scaled_machine(4));
   LibrarySystem trilinos = make_trilinos_like(scaled_machine(4));
-  Statement* s1 = build();
-  Statement* s2 = build();
+  auto [A1, s1] = build();
+  auto [A2, s2] = build();
   const double tp = petsc.run(*s1, 1, 5);
   const double tt = trilinos.run(*s2, 1, 5);
   EXPECT_GT(tt, tp);
@@ -233,11 +234,11 @@ TEST(CtfLike, MttkrpNearParity) {
     Statement* stmt = &(A(i, l) = B(i, j, k) * C(j, l) * D(k, l));
     A.schedule().divide(i, io, ii, 4).distribute(io).parallelize(
         ii, sched::ParallelUnit::CPUThread);
-    return stmt;
+    return std::make_pair(A, stmt);  // the statement lives as long as A
   };
   double t_spd;
   {
-    Statement* stmt = build();
+    auto [A, stmt] = build();
     rt::Machine m = scaled_machine(4);
     rt::Runtime runtime(m);
     auto inst = comp::CompiledKernel::compile(*stmt, m).instantiate(runtime);
@@ -246,7 +247,7 @@ TEST(CtfLike, MttkrpNearParity) {
     inst->run(3);
     t_spd = inst->report().sim_time / 3;
   }
-  Statement* stmt2 = build();
+  auto [A2, stmt2] = build();
   CtfLike ctf(scaled_machine(4));
   const double t_ctf = ctf.run(*stmt2, 1, 3);
   // Within ~3x either way (paper: median 0.97x with wide spread).

@@ -194,8 +194,9 @@ RunResult run_spmm(const fmt::Format& format, int exec_threads) {
       << format.str() << " x" << exec_threads;
   RunResult res;
   res.leaf = ck.leaf_kernel_name();
-  for (Coord q = 0; q < n * cols; ++q) {
-    res.out.push_back((*A.storage().vals())[q]);
+  const auto& vals = *A.storage().vals();
+  for (Coord q = 0; q < n; ++q) {
+    for (Coord c = 0; c < cols; ++c) res.out.push_back(vals.at2(q, c));
   }
   res.report = runtime.report();
   return res;

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "autosched/autosched.h"
 #include "autosched/cost.h"
@@ -144,12 +147,49 @@ TEST(Calibrate, JsonPersistRoundTrip) {
   EXPECT_DOUBLE_EQ(r->wall_per_flop, 5e-10);
   std::remove(path.c_str());
 
-  // An unknown schema version merges nothing.
+  // A key with quotes, backslashes and braces round-trips: the writer
+  // escapes it and the reader finds structure only outside strings.
   c.clear();
-  EXPECT_EQ(c.merge_json("{\"version\": 99, \"rates\": {\"x|CPU\": "
-                         "{\"wall_per_flop\": 1, \"samples\": 1}}}"),
-            0u);
-  EXPECT_EQ(c.size(), 0u);
+  const std::string odd = "we\"ird\\ker{n}el";
+  c.record(odd.c_str(), "CPU", 1e6, 0, 1e-3);
+  const std::string odd_doc = c.json();
+  c.clear();
+  EXPECT_EQ(c.merge_json(odd_doc), 1u);
+  r = c.lookup(odd, "CPU");
+  ASSERT_TRUE(r.has_value());
+  EXPECT_DOUBLE_EQ(r->wall_per_flop, 1e-9);
+
+  // Malformed documents and unknown versions are rejected whole: nothing is
+  // merged, not even the well-formed entries ahead of the damage, and the
+  // rates already held stay exactly as they were.
+  const std::string good_entry =
+      "\"x|CPU\": {\"wall_per_flop\": 1, \"samples\": 1}";
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"truncated", odd_doc.substr(0, odd_doc.size() / 2)},
+      {"unterminated string",
+       "{\"version\": 1, \"rates\": {" + good_entry + ", \"y|CPU"},
+      {"stray } inside a key member",
+       "{\"version\": 1, \"rates\": {" + good_entry +
+           ", \"y|CPU\"}: {\"samples\": 1}}}"},
+      {"unknown version",
+       "{\"version\": 99, \"rates\": {" + good_entry + "}}"},
+      {"missing version", "{\"rates\": {" + good_entry + "}}"},
+      {"trailing garbage", odd_doc + "}"},
+  };
+  for (const auto& [what, text] : bad) {
+    EXPECT_EQ(c.merge_json(text), 0u) << what;
+    EXPECT_EQ(c.size(), 1u) << what;
+    r = c.lookup(odd, "CPU");
+    ASSERT_TRUE(r.has_value()) << what;
+    EXPECT_DOUBLE_EQ(r->wall_per_flop, 1e-9) << what;
+    EXPECT_EQ(r->samples, 1u) << what;
+  }
+  // A well-formed entry without samples is skipped on its own.
+  EXPECT_EQ(c.merge_json("{\"version\": 1, \"rates\": {" + good_entry +
+                         ", \"z|CPU\": {\"wall_per_flop\": 1}}}"),
+            1u);
+  EXPECT_TRUE(c.lookup("x", "CPU").has_value());
+  EXPECT_FALSE(c.lookup("z", "CPU").has_value());
 }
 
 TEST(Calibrate, LearnedRatesPriceAutoschedCandidates) {

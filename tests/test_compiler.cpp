@@ -148,8 +148,8 @@ struct KernelCase {
 std::vector<KernelCase> kernel_cases() {
   std::vector<KernelCase> cases;
   cases.push_back({"spmv", [](int pieces) {
-    auto* p = new SpmvProgram(pieces, data::powerlaw_matrix(80, 80, 500, 1.2, 7));
-    return std::make_pair(p->a, p->stmt);
+    SpmvProgram p(pieces, data::powerlaw_matrix(80, 80, 500, 1.2, 7));
+    return std::make_pair(p.a, p.stmt);  // the statement lives in p.a
   }});
   cases.push_back({"spmm", [](int pieces) {
     IndexVar i("i"), j("j"), k("k"), io("io"), ii("ii");

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cctype>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -21,6 +20,7 @@
 #include "compiler/lower.h"
 #include "data/generators.h"
 #include "obs/obs.h"
+#include "obs/persist.h"
 #include "tensor/tensor.h"
 
 namespace spdistal {
@@ -74,112 +74,11 @@ std::pair<Tensor, Statement*> build_spmv(int pieces) {
   return {a, &stmt};
 }
 
-// --- a minimal JSON validator ------------------------------------------------
-
-void skip_ws(const std::string& s, size_t& i) {
-  while (i < s.size() && (s[i] == ' ' || s[i] == '\n' || s[i] == '\t' ||
-                          s[i] == '\r')) {
-    ++i;
-  }
-}
-
-bool parse_value(const std::string& s, size_t& i);
-
-bool parse_string(const std::string& s, size_t& i) {
-  if (i >= s.size() || s[i] != '"') return false;
-  ++i;
-  while (i < s.size() && s[i] != '"') {
-    if (s[i] == '\\') {
-      ++i;
-      if (i >= s.size()) return false;
-    }
-    ++i;
-  }
-  if (i >= s.size()) return false;
-  ++i;  // closing quote
-  return true;
-}
-
-bool parse_number(const std::string& s, size_t& i) {
-  const size_t start = i;
-  if (i < s.size() && (s[i] == '-' || s[i] == '+')) ++i;
-  while (i < s.size() &&
-         (std::isdigit(static_cast<unsigned char>(s[i])) || s[i] == '.' ||
-          s[i] == 'e' || s[i] == 'E' || s[i] == '-' || s[i] == '+')) {
-    ++i;
-  }
-  return i > start;
-}
-
-bool parse_value(const std::string& s, size_t& i) {
-  skip_ws(s, i);
-  if (i >= s.size()) return false;
-  if (s[i] == '"') return parse_string(s, i);
-  if (s[i] == '{') {
-    ++i;
-    skip_ws(s, i);
-    if (i < s.size() && s[i] == '}') {
-      ++i;
-      return true;
-    }
-    while (true) {
-      skip_ws(s, i);
-      if (!parse_string(s, i)) return false;
-      skip_ws(s, i);
-      if (i >= s.size() || s[i] != ':') return false;
-      ++i;
-      if (!parse_value(s, i)) return false;
-      skip_ws(s, i);
-      if (i < s.size() && s[i] == ',') {
-        ++i;
-        continue;
-      }
-      break;
-    }
-    if (i >= s.size() || s[i] != '}') return false;
-    ++i;
-    return true;
-  }
-  if (s[i] == '[') {
-    ++i;
-    skip_ws(s, i);
-    if (i < s.size() && s[i] == ']') {
-      ++i;
-      return true;
-    }
-    while (true) {
-      if (!parse_value(s, i)) return false;
-      skip_ws(s, i);
-      if (i < s.size() && s[i] == ',') {
-        ++i;
-        continue;
-      }
-      break;
-    }
-    if (i >= s.size() || s[i] != ']') return false;
-    ++i;
-    return true;
-  }
-  if (s.compare(i, 4, "true") == 0) {
-    i += 4;
-    return true;
-  }
-  if (s.compare(i, 5, "false") == 0) {
-    i += 5;
-    return true;
-  }
-  if (s.compare(i, 4, "null") == 0) {
-    i += 4;
-    return true;
-  }
-  return parse_number(s, i);
-}
-
+// A whole document is one value and nothing after it.
 bool valid_json(const std::string& s) {
-  size_t i = 0;
-  if (!parse_value(s, i)) return false;
-  skip_ws(s, i);
-  return i == s.size();
+  obs::JsonCursor c(s);
+  c.skip_value();
+  return c.ok && c.at_end();
 }
 
 // Pulls the numeric value following `"key": ` out of an event line; the

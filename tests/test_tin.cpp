@@ -2,6 +2,8 @@
 // command list, and the dense reference evaluator.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "tensor/dense_ref.h"
 #include "tensor/tensor.h"
 
@@ -58,6 +60,40 @@ TEST(TensorApi, BuildsStatementWithBindings) {
   EXPECT_EQ(stmt.bindings.size(), 3u);
   EXPECT_TRUE(stmt.tensor("B").same_as(B));
   EXPECT_TRUE(a.has_definition());
+}
+
+// The defining statement binds its own lhs without owning it: the returned
+// Statement& stays usable while the lhs handle lives (operands included,
+// even after their own handles are gone), and dropping the last handle
+// frees the lhs and every operand it kept alive.
+TEST(TensorApi, DefinedTensorIsFreedWithItsLastHandle) {
+  IndexVar i("i"), j("j");
+  std::weak_ptr<rt::Region<double>> a_vals, B_vals;
+  {
+    Tensor a("a", {4}, fmt::dense_vector());
+    Statement* stmt = nullptr;
+    {
+      Tensor B("B", {4, 4}, fmt::csr());
+      Tensor c("c", {4}, fmt::dense_vector());
+      fmt::Coo coo;
+      coo.dims = {4, 4};
+      coo.push({0, 1}, 1.0);
+      coo.push({2, 3}, 2.0);
+      B.from_coo(std::move(coo));
+      stmt = &(a(i) = B(i, j) * c(j));
+      B_vals = B.storage().vals();
+    }
+    a_vals = a.storage().vals();
+    EXPECT_FALSE(B_vals.expired());  // a's definition keeps B alive
+    EXPECT_EQ(stmt->str(), "a(i) = B(i,j) * c(j)");
+    EXPECT_TRUE(stmt->tensor("a").same_as(a));
+    EXPECT_TRUE(stmt->tensor("B").has_storage());
+    // A copy of the statement owns its tensors like any other handle.
+    const Statement copy = *stmt;
+    EXPECT_TRUE(copy.tensor("a").same_as(a));
+  }
+  EXPECT_TRUE(a_vals.expired());
+  EXPECT_TRUE(B_vals.expired());
 }
 
 TEST(TensorApi, RejectsWrongArity) {
