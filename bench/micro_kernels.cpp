@@ -5,12 +5,14 @@
 // a block-structured matrix (the register-tiled bcsr micro-kernels).
 //
 // Besides the stdout table, every finished run is recorded into
-// BENCH_kernels.json (bench_util's shared writer), and the blocked rows'
-// >= 1.5x speedup contract over their CSR twins is checked after the run —
-// fatal under SPDISTAL_BENCH_ASSERT (the CI Release smoke gate), advisory
-// otherwise.
+// BENCH_kernels.json (bench_util's shared writer), and two ratio contracts
+// are checked after the run — the blocked rows' >= 1.5x speedup over their
+// CSR twins, and the warm steady-state CSR launch's <= 10x overhead over
+// the direct leaf — fatal under SPDISTAL_BENCH_ASSERT (the CI Release smoke
+// gate), advisory otherwise.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -263,23 +265,31 @@ int main(int argc, char** argv) {
                  "micro_kernels: failed to write BENCH_kernels.json\n");
     return 1;
   }
-  // The register-tiled speedup contract, checked on the recorded rows so
-  // the JSON artifact and the gate can never disagree. Rows filtered out by
-  // --benchmark_filter are simply not checked.
+  // Ratio contracts, checked on the recorded rows so the JSON artifact and
+  // the gate can never disagree. Rows filtered out by --benchmark_filter are
+  // simply not checked. `slow` must take at least `min_ratio` and at most
+  // `max_ratio` times as long as `fast`.
   int rc = 0;
-  auto check = [&](const char* csr, const char* blocked) {
-    const double t_csr = row_ns(reporter.rows, csr);
-    const double t_blk = row_ns(reporter.rows, blocked);
-    if (t_csr <= 0 || t_blk <= 0) return;
-    const double speedup = t_csr / t_blk;
-    std::printf("%s: %.2fx vs %s\n", blocked, speedup, csr);
-    if (speedup < 1.5 && std::getenv("SPDISTAL_BENCH_ASSERT") != nullptr) {
-      std::fprintf(stderr, "%s: expected >= 1.5x over %s, got %.2fx\n",
-                   blocked, csr, speedup);
+  auto check = [&](const char* slow, const char* fast, double min_ratio,
+                   double max_ratio) {
+    const double t_slow = row_ns(reporter.rows, slow);
+    const double t_fast = row_ns(reporter.rows, fast);
+    if (t_slow <= 0 || t_fast <= 0) return;
+    const double ratio = t_slow / t_fast;
+    std::printf("%s / %s: %.2fx\n", slow, fast, ratio);
+    if ((ratio < min_ratio || ratio > max_ratio) &&
+        std::getenv("SPDISTAL_BENCH_ASSERT") != nullptr) {
+      std::fprintf(stderr, "%s / %s: expected within [%.1fx, %.1fx], got %.2fx\n",
+                   slow, fast, min_ratio, max_ratio, ratio);
       rc = 1;
     }
   };
-  check("BM_SpmvBlockedCsr", "BM_SpmvBlocked");
-  check("BM_SpmmBlockedCsr", "BM_SpmmBlocked");
+  // Register-tiled bcsr kernels: >= 1.5x over their CSR twins.
+  check("BM_SpmvBlockedCsr", "BM_SpmvBlocked", 1.5, HUGE_VAL);
+  check("BM_SpmmBlockedCsr", "BM_SpmmBlocked", 1.5, HUGE_VAL);
+  // End-to-end overhead: a warm steady-state launch (enqueue, dependence
+  // tracking, fetch accounting, retirement) costs at most 10x the direct
+  // leaf on the same matrix.
+  check("BM_SpmvSteadyState/csr/100000", "BM_SpmvNz/100000", 0, 10);
   return rc;
 }

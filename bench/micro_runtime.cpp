@@ -404,7 +404,7 @@ void BM_SubsetSubtract(benchmark::State& state) {
     benchmark::DoNotOptimize(d.volume());
   }
 }
-BENCHMARK(BM_SubsetSubtract)->Arg(100)->Arg(1000);
+BENCHMARK(BM_SubsetSubtract)->Arg(100)->Arg(1000)->Arg(10000);
 
 }  // namespace
 

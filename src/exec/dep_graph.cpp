@@ -62,7 +62,7 @@ void DepTracker::record_one(TaskId completion, const RegionAccess& a) {
     entries.erase(
         std::remove_if(entries.begin(), entries.end(),
                        [&](const Entry& e) {
-                         return e.subset.subtract(a.subset).empty();
+                         return a.subset.covers(e.subset);
                        }),
         entries.end());
   }
@@ -75,9 +75,16 @@ void DepTracker::record_one(TaskId completion, const RegionAccess& a) {
     rt::IndexSubset all(entries.front().subset.dim());
     for (const Entry& e : entries) {
       deps.push_back(e.completion);
-      for (const auto& r : e.subset.rects()) all.add(r);
+      if (all.dim() == 1) {
+        // Launch loops re-read the same subsets, so most entries are
+        // already in the union: the allocation-free cover test skips
+        // their merge.
+        if (!all.covers(e.subset)) all = all.unite(e.subset);
+      } else {
+        for (const auto& r : e.subset.rects()) all.add(r);
+      }
     }
-    all.normalize();
+    all.normalize();  // a no-op on the merged 1-D union
     const TaskId sync = ex_->submit("dep-sync", nullptr, deps);
     entries.clear();
     entries.push_back(Entry{sync, std::move(all), AccessMode::ReadWrite,

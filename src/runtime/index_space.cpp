@@ -113,12 +113,15 @@ void IndexSubset::add(const RectN& r) {
   if (r.empty()) return;
   SPD_ASSERT(rects_.empty() || r.dim == dim_, "IndexSubset::add: dim mismatch");
   dim_ = r.dim;
+  normalized1_ = normalized1_ && r.dim == 1 &&
+                 (rects_.empty() || rects_.back().hi[0] + 1 < r.lo[0]);
   rects_.push_back(r);
 }
 
 void IndexSubset::normalize() {
   if (rects_.empty()) return;
   if (dim_ == 1) {
+    if (normalized1_) return;
     std::sort(rects_.begin(), rects_.end(),
               [](const RectN& a, const RectN& b) { return a.lo[0] < b.lo[0]; });
     std::vector<RectN> out;
@@ -131,6 +134,7 @@ void IndexSubset::normalize() {
       }
     }
     rects_ = std::move(out);
+    normalized1_ = true;
     return;
   }
   // N-D: drop rectangles fully contained in another; exact disjointness is
@@ -167,8 +171,8 @@ bool IndexSubset::contains_point(const std::array<Coord, kMaxDim>& p) const {
 }
 
 bool IndexSubset::contains_point1(Coord p) const {
-  // Binary search over normalized, sorted 1-D interval list.
-  if (dim_ == 1 && rects_.size() > 8) {
+  // Binary search over a normalized, sorted 1-D interval list.
+  if (dim_ == 1 && normalized1_ && rects_.size() > 8) {
     auto it = std::upper_bound(
         rects_.begin(), rects_.end(), p,
         [](Coord v, const RectN& r) { return v < r.lo[0]; });
@@ -179,8 +183,101 @@ bool IndexSubset::contains_point1(Coord p) const {
   return contains_point({p});
 }
 
+const std::vector<RectN>& IndexSubset::normalized1(
+    std::vector<RectN>& scratch) const {
+  if (normalized1_) return rects_;
+  IndexSubset copy = *this;
+  copy.normalize();
+  scratch = std::move(copy.rects_);
+  return scratch;
+}
+
+namespace {
+// Linear sweeps over two 1-D interval lists. Each result is normalized, and
+// has at most a.size() + b.size() intervals, so one reserve covers it.
+
+// a ∩ b over normalized lists.
+std::vector<RectN> intersect1(const std::vector<RectN>& a,
+                              const std::vector<RectN>& b) {
+  std::vector<RectN> out;
+  out.reserve(a.size() + b.size());
+  size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    const Coord lo = std::max(a[i].lo[0], b[j].lo[0]);
+    const Coord hi = std::min(a[i].hi[0], b[j].hi[0]);
+    if (lo <= hi) out.push_back(RectN::make1(lo, hi));
+    // The interval ending first cannot meet anything further along the
+    // other list.
+    if (a[i].hi[0] < b[j].hi[0]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return out;
+}
+
+// a ∪ b over normalized lists, as maximal runs.
+std::vector<RectN> unite1(const std::vector<RectN>& a,
+                          const std::vector<RectN>& b) {
+  std::vector<RectN> out;
+  out.reserve(a.size() + b.size());
+  size_t i = 0, j = 0;
+  while (i < a.size() || j < b.size()) {
+    const bool take_a =
+        j == b.size() || (i < a.size() && a[i].lo[0] <= b[j].lo[0]);
+    const RectN& r = take_a ? a[i++] : b[j++];
+    if (!out.empty() && r.lo[0] <= out.back().hi[0] + 1) {
+      out.back().hi[0] = std::max(out.back().hi[0], r.hi[0]);
+    } else {
+      out.push_back(r);
+    }
+  }
+  return out;
+}
+
+// a \ b over normalized lists.
+std::vector<RectN> subtract1(const std::vector<RectN>& a,
+                             const std::vector<RectN>& b) {
+  std::vector<RectN> out;
+  out.reserve(a.size() + b.size());
+  size_t j = 0;
+  for (const RectN& r : a) {
+    Coord cur = r.lo[0];  // first point of r not yet emitted or removed
+    while (j < b.size() && b[j].hi[0] < cur) ++j;
+    for (; j < b.size() && b[j].lo[0] <= r.hi[0]; ++j) {
+      if (b[j].lo[0] > cur) out.push_back(RectN::make1(cur, b[j].lo[0] - 1));
+      cur = b[j].hi[0] + 1;
+      // b[j] reaching past r may still cut the next interval of a.
+      if (b[j].hi[0] >= r.hi[0]) break;
+    }
+    if (cur <= r.hi[0]) out.push_back(RectN::make1(cur, r.hi[0]));
+  }
+  return out;
+}
+}  // namespace
+
 IndexSubset IndexSubset::intersect(const RectN& r) const {
   IndexSubset out(dim_);
+  if (dim_ == 1 && r.dim == 1) {
+    if (r.empty()) return out;
+    std::vector<RectN> scratch;
+    const std::vector<RectN>& a = normalized1(scratch);
+    // The window: from the first interval ending at or after r.lo up to the
+    // last one starting at or before r.hi.
+    const auto first = std::lower_bound(
+        a.begin(), a.end(), r.lo[0],
+        [](const RectN& s, Coord c) { return s.hi[0] < c; });
+    const auto last = std::upper_bound(
+        first, a.end(), r.hi[0],
+        [](Coord c, const RectN& s) { return c < s.lo[0]; });
+    out.rects_.reserve(static_cast<size_t>(last - first));
+    for (auto it = first; it != last; ++it) {
+      out.rects_.push_back(RectN::make1(std::max(it->lo[0], r.lo[0]),
+                                        std::min(it->hi[0], r.hi[0])));
+    }
+    return out;
+  }
   for (const auto& s : rects_) {
     RectN i = s.intersect(r);
     if (!i.empty()) out.add(i);
@@ -191,6 +288,11 @@ IndexSubset IndexSubset::intersect(const RectN& r) const {
 
 IndexSubset IndexSubset::intersect(const IndexSubset& o) const {
   IndexSubset out(dim_);
+  if (dim_ == 1 && o.dim_ == 1) {
+    std::vector<RectN> sa, sb;
+    out.rects_ = intersect1(normalized1(sa), o.normalized1(sb));
+    return out;
+  }
   for (const auto& r : o.rects_) {
     for (const auto& s : rects_) {
       RectN i = s.intersect(r);
@@ -202,6 +304,12 @@ IndexSubset IndexSubset::intersect(const IndexSubset& o) const {
 }
 
 IndexSubset IndexSubset::unite(const IndexSubset& o) const {
+  if (dim_ == 1 && o.dim_ == 1) {
+    std::vector<RectN> sa, sb;
+    IndexSubset out(1);
+    out.rects_ = unite1(normalized1(sa), o.normalized1(sb));
+    return out;
+  }
   IndexSubset out = *this;
   for (const auto& r : o.rects_) out.add(r);
   out.normalize();
@@ -237,6 +345,12 @@ void rect_subtract(const RectN& a, const RectN& b, std::vector<RectN>& out) {
 }  // namespace
 
 IndexSubset IndexSubset::subtract(const IndexSubset& o) const {
+  if (dim_ == 1 && o.dim_ == 1) {
+    std::vector<RectN> sa, sb;
+    IndexSubset out(1);
+    out.rects_ = subtract1(normalized1(sa), o.normalized1(sb));
+    return out;
+  }
   std::vector<RectN> cur(rects_);
   for (const auto& b : o.rects()) {
     std::vector<RectN> next;
@@ -251,12 +365,48 @@ IndexSubset IndexSubset::subtract(const IndexSubset& o) const {
 }
 
 bool IndexSubset::overlaps(const IndexSubset& o) const {
+  if (dim_ == 1 && o.dim_ == 1) {
+    std::vector<RectN> sa, sb;
+    const std::vector<RectN>& a = normalized1(sa);
+    const std::vector<RectN>& b = o.normalized1(sb);
+    size_t i = 0, j = 0;
+    while (i < a.size() && j < b.size()) {
+      if (a[i].hi[0] < b[j].lo[0]) {
+        ++i;
+      } else if (b[j].hi[0] < a[i].lo[0]) {
+        ++j;
+      } else {
+        return true;
+      }
+    }
+    return false;
+  }
   for (const auto& r : o.rects()) {
     for (const auto& s : rects_) {
       if (s.overlaps(r)) return true;
     }
   }
   return false;
+}
+
+bool IndexSubset::covers(const IndexSubset& o) const {
+  if (o.rects_.empty()) return true;
+  if (dim_ == 1 && o.dim_ == 1) {
+    std::vector<RectN> sa, sb;
+    const std::vector<RectN>& a = normalized1(sa);
+    const std::vector<RectN>& b = o.normalized1(sb);
+    // a is maximally coalesced, so each interval of b must sit inside a
+    // single interval of a.
+    size_t i = 0;
+    for (const RectN& r : b) {
+      while (i < a.size() && a[i].hi[0] < r.lo[0]) ++i;
+      if (i == a.size() || a[i].lo[0] > r.lo[0] || a[i].hi[0] < r.hi[0]) {
+        return false;
+      }
+    }
+    return true;
+  }
+  return o.subtract(*this).empty();
 }
 
 RectN IndexSubset::bounds() const {
@@ -269,6 +419,49 @@ RectN IndexSubset::bounds() const {
     }
   }
   return b;
+}
+
+bool any_pairwise_overlap(const std::vector<const IndexSubset*>& subsets) {
+  bool all_1d = true;
+  size_t total = 0;
+  for (const IndexSubset* s : subsets) {
+    if (s->rects().empty()) continue;
+    all_1d = all_1d && s->dim() == 1;
+    total += s->rects().size();
+  }
+  if (!all_1d) {
+    for (size_t b = 1; b < subsets.size(); ++b) {
+      for (size_t a = 0; a < b; ++a) {
+        if (subsets[a]->overlaps(*subsets[b])) return true;
+      }
+    }
+    return false;
+  }
+  struct Tagged {
+    Coord lo, hi;
+    size_t owner;
+  };
+  std::vector<Tagged> all;
+  all.reserve(total);
+  for (size_t k = 0; k < subsets.size(); ++k) {
+    for (const RectN& r : subsets[k]->rects()) {
+      all.push_back(Tagged{r.lo[0], r.hi[0], k});
+    }
+  }
+  std::sort(all.begin(), all.end(),
+            [](const Tagged& a, const Tagged& b) { return a.lo < b.lo; });
+  // Sweep in lo order against the earlier rect reaching furthest. Exact:
+  // the first rect that meets an earlier rect of another owner also meets
+  // the furthest-reaching one, and if that one shared its owner it would
+  // itself have met the other owner's rect earlier in the sweep.
+  const Tagged* reach = nullptr;
+  for (const Tagged& t : all) {
+    if (reach != nullptr && t.lo <= reach->hi && t.owner != reach->owner) {
+      return true;
+    }
+    if (reach == nullptr || t.hi > reach->hi) reach = &t;
+  }
+  return false;
 }
 
 std::string IndexSubset::str() const {

@@ -73,6 +73,12 @@ struct RectN {
 //
 // Invariant after normalize(): rectangles are pairwise disjoint; in 1-D they
 // are additionally sorted by lo and maximally coalesced.
+//
+// Cost: when both operands are 1-D, intersect/subtract/unite/overlaps/covers
+// are linear sweeps over the two sorted interval lists (O(n + m)) and return
+// normalized results. An operand that breaks the invariant is normalized
+// into a local copy first (never in place). N-D operands take the pairwise
+// rect-by-rect paths.
 class IndexSubset {
  public:
   IndexSubset() = default;
@@ -87,8 +93,9 @@ class IndexSubset {
   // Adds a rectangle (dropped if empty). Caller should normalize() after a
   // batch of adds before relying on set semantics.
   void add(const RectN& r);
-  // Sorts, merges adjacent/overlapping rectangles (1-D); deduplicates and
-  // removes contained rectangles (N-D).
+  // Sorts, merges adjacent/overlapping rectangles (1-D; a no-op on lists
+  // that already satisfy the invariant); deduplicates and removes contained
+  // rectangles (N-D).
   void normalize();
 
   bool contains_point(const std::array<Coord, kMaxDim>& p) const;
@@ -103,6 +110,9 @@ class IndexSubset {
   IndexSubset subtract(const IndexSubset& o) const;
   // True if the two subsets share any point.
   bool overlaps(const IndexSubset& o) const;
+  // True if every point of `o` is in this subset (this ⊇ o). 1-D: early
+  // exit, no allocation on normalized operands.
+  bool covers(const IndexSubset& o) const;
 
   // Tight bounding rectangle (undefined on empty subsets).
   RectN bounds() const;
@@ -110,9 +120,23 @@ class IndexSubset {
   std::string str() const;
 
  private:
+  // 1-D only: the rect list in normalized form — rects_ itself when it
+  // already satisfies the invariant, else a normalized copy in `scratch`.
+  const std::vector<RectN>& normalized1(std::vector<RectN>& scratch) const;
+
   int dim_ = 1;
   std::vector<RectN> rects_;
+  // 1-D: rects_ meets the normalize() invariant. Kept exact in O(1) by
+  // add() (an append past the last rect's end plus a gap keeps it), so
+  // already-normalized operands skip any re-check.
+  bool normalized1_ = true;
 };
+
+// True iff two different entries of `subsets` share a point. When every
+// non-empty subset is 1-D this is one sort-and-sweep over all rects tagged
+// by their index (O(N log N) in the total rect count N); otherwise the
+// pairwise overlaps() loop.
+bool any_pairwise_overlap(const std::vector<const IndexSubset*>& subsets);
 
 // A dense rectangular index space, as associated with a region (§III-A).
 class IndexSpace {

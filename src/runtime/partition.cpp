@@ -14,12 +14,10 @@ uint64_t Partition::next_uid() {
 }
 
 bool Partition::disjoint() const {
-  for (size_t a = 0; a < subsets_.size(); ++a) {
-    for (size_t b = a + 1; b < subsets_.size(); ++b) {
-      if (subsets_[a].overlaps(subsets_[b])) return false;
-    }
-  }
-  return true;
+  std::vector<const IndexSubset*> colors;
+  colors.reserve(subsets_.size());
+  for (const IndexSubset& s : subsets_) colors.push_back(&s);
+  return !any_pairwise_overlap(colors);
 }
 
 bool Partition::complete() const {

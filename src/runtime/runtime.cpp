@@ -300,8 +300,10 @@ double Runtime::fetch(RegionBase& region, const IndexSubset& subset,
   double arrival = ready_time;
   IndexSubset missing = subset;
   if (auto it = pl.valid.find(mem); it != pl.valid.end()) {
-    missing = subset.subtract(it->second);
     arrival = std::max(arrival, pl.ready[mem]);
+    // 1-D: the cover test answers the common hit without allocating.
+    if (subset.dim() == 1 && it->second.covers(subset)) return arrival;
+    missing = subset.subtract(it->second);
     if (missing.empty()) return arrival;
   }
   const double elem = static_cast<double>(region.elem_size());
@@ -371,19 +373,17 @@ std::shared_ptr<const Runtime::LaunchPlan> Runtime::build_plan(
   }
 
   // Per-requirement pairwise disjointness of the point subsets (computed
-  // once, with early exit; RO requirements never need it). Drives both the
-  // REDUCE privatization decision and the intra-launch conflict analysis.
+  // once; RO requirements never need it). Drives both the REDUCE
+  // privatization decision and the intra-launch conflict analysis.
   plan->req_overlapping.assign(R, false);
+  std::vector<const IndexSubset*> column(static_cast<size_t>(P));
   for (size_t r = 0; r < R; ++r) {
     if (launch.reqs[r].priv == Privilege::RO || P <= 1) continue;
-    bool overlapping = false;
-    for (int q = 1; q < P && !overlapping; ++q) {
-      for (int p = 0; p < q && !overlapping; ++p) {
-        overlapping = plan->subsets[static_cast<size_t>(p)][r].overlaps(
-            plan->subsets[static_cast<size_t>(q)][r]);
-      }
+    for (int p = 0; p < P; ++p) {
+      column[static_cast<size_t>(p)] =
+          &plan->subsets[static_cast<size_t>(p)][r];
     }
-    plan->req_overlapping[r] = overlapping;
+    plan->req_overlapping[r] = any_pairwise_overlap(column);
   }
 
   // Privatize REDUCE requirements whose point subsets overlap: each point

@@ -18,10 +18,10 @@ const char* mode_name(exec::AccessMode m) {
   return "?";
 }
 
-// Exact set equality via double subtraction (IndexSubset has no operator==;
-// rect lists for the same point set may differ in shape).
+// Exact set equality via mutual cover (IndexSubset has no operator==; rect
+// lists for the same point set may differ in shape).
 bool same_subset(const rt::IndexSubset& a, const rt::IndexSubset& b) {
-  return a.subtract(b).empty() && b.subtract(a).empty();
+  return a.covers(b) && b.covers(a);
 }
 
 const std::vector<std::vector<rt::IndexSubset>>& subsets_of(

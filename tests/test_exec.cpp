@@ -163,6 +163,56 @@ TEST(DepTracker, FullCoverWriteCompactsHistory) {
   ex.flush();
 }
 
+// More than kMaxHistory (128) overlapping reads with no intervening write
+// collapse the history behind one no-op "dep-sync" task whose subset is the
+// union of every collapsed entry.
+TEST(DepTracker, OversizedHistoryCollapsesBehindSync) {
+  exec::Executor ex(exec::WorkerPool::create(1));
+  exec::DepTracker tracker(ex);
+  Rng rng(5);
+  const Coord universe = 3000;
+  std::vector<bool> read(universe, false);
+  exec::TaskId last_read = 0;
+  for (int k = 0; k < 129; ++k) {
+    rt::IndexSubset s(1);
+    for (int piece = 0; piece < 3; ++piece) {
+      const Coord lo = rng.next_range(0, universe - 40);
+      const Coord hi = lo + rng.next_range(0, 30);
+      s.add(rt::RectN::make1(lo, hi));
+      for (Coord p = lo; p <= hi; ++p) read[static_cast<size_t>(p)] = true;
+    }
+    s.normalize();
+    last_read = ex.submit("r", nullptr);
+    tracker.record(last_read, {{3, s, exec::AccessMode::Read, false}});
+    EXPECT_EQ(tracker.history_size(), k < 128 ? static_cast<size_t>(k + 1)
+                                              : size_t{1});
+  }
+  // The collapse submitted the sync task right after the last read.
+  const exec::TaskId sync = last_read + 1;
+
+  // The sync entry's subset is exactly the union of all reads: a point read
+  // conflicts with it iff some read touched that point.
+  for (Coord p = 0; p < universe; ++p) {
+    const auto deps = tracker.deps_for(
+        {{3, rt::IndexSubset(rt::RectN::make1(p, p)), exec::AccessMode::Read,
+          false}});
+    ASSERT_EQ(deps.empty(), !read[static_cast<size_t>(p)]) << "point " << p;
+    if (!deps.empty()) {
+      ASSERT_EQ(deps, std::vector<exec::TaskId>{sync});
+    }
+  }
+
+  const exec::TaskId w = ex.submit("w", nullptr);
+  EXPECT_EQ(w, sync + 1);
+  const std::vector<exec::RegionAccess> write = {
+      {3, rt::IndexSubset(rt::RectN::make1(0, universe - 1)),
+       exec::AccessMode::Write, false}};
+  EXPECT_EQ(tracker.deps_for(write), std::vector<exec::TaskId>{sync});
+  tracker.record(w, write);
+  EXPECT_EQ(tracker.history_size(), 1u);
+  ex.flush();
+}
+
 // A read-after-write conflict *between two requirements* of one launch on
 // the same region must serialize in color order, even though the reading
 // access itself is RO (regression: the pairwise analysis once skipped Read
