@@ -43,9 +43,7 @@ AnalyticModel::AnalyticModel(const Statement& stmt,
       pad = static_cast<double>(t.storage().vals()->size_bytes()) / 8.0 /
             static_cast<double>(t.storage().nnz());
     }
-    fpn_ = fpn_ * pad / kBlockedVecGain;
-    bpn_ = std::max(bpn_ - 12.0, 0.0) +
-           pad * (8.0 + 4.0 / lanes_per_block);
+    rescale_for_blocks(pad, lanes_per_block, fpn_, bpn_);
     if (ops.kind == base::KernelKind::SpMV) family = "spmv_bcsr";
     if (ops.kind == base::KernelKind::SpMM) family = "spmm_bcsr";
     break;  // the evaluation kernels have at most one blocked operand

@@ -23,6 +23,7 @@
 // harnesses use.
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <string>
@@ -37,10 +38,20 @@ namespace spdistal::autosched {
 
 // Throughput multiplier of the register-tiled blocked leaves over scalar
 // CSR traversal: the unrolled R x C FMA tiles keep the (4-wide double) FMA
-// units fed where the scalar gather-dot cannot. Shared with format_select's
-// candidate pricing so both tiers agree on the blocked/CSR crossover
-// density.
+// units fed where the scalar gather-dot cannot.
 inline constexpr double kBlockedVecGain = 4.0;
+
+// Rescales a CSR work profile (flops and bytes per true non-zero) to a
+// blocked operand with `lanes` (R*C) value lanes per block and `pad` stored
+// lanes per true non-zero: `pad` lanes of vector-rate FMA, and one 4-byte
+// block coordinate per `lanes` lanes in place of the per-entry coordinate.
+// AnalyticModel and format_select's candidate pricing both call it, so the
+// two agree on the blocked/CSR crossover density.
+inline void rescale_for_blocks(double pad, double lanes, double& fpn,
+                               double& bpn) {
+  fpn = fpn * pad / kBlockedVecGain;
+  bpn = std::max(bpn - 12.0, 0.0) + pad * (8.0 + 4.0 / lanes);
+}
 
 // Analytic estimator for one (statement, machine) pair. The per-coordinate
 // non-zero histograms it buckets universe splits with depend only on

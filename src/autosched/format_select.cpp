@@ -101,12 +101,9 @@ std::vector<FormatCandidate> enumerate_matrix_formats(
   for (const auto& [r, c] : kShapes) {
     const BlockStats s = block_stats(coo, r, c);
     const double pad = s.nnz > 0 ? s.padding : static_cast<double>(r * c);
-    // Same rescaling AnalyticModel applies to a packed blocked operand:
-    // `pad` value lanes of vector-rate FMA per true non-zero, one 4-byte
-    // block coordinate per R*C lanes in place of the per-entry coordinate.
-    const double bfpn = fpn * pad / kBlockedVecGain;
-    const double bbpn =
-        std::max(bpn - 12.0, 0.0) + pad * (8.0 + 4.0 / (r * c));
+    double bfpn = fpn;
+    double bbpn = bpn;
+    rescale_for_blocks(pad, r * c, bfpn, bbpn);
     out.push_back({fmt::bcsr(r, c), tiled_kernel,
                    price(nnz, bfpn, bbpn, machine, tiled_kernel)});
   }

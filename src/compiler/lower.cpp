@@ -98,16 +98,16 @@ CompiledKernel CompiledKernel::compile(const Statement& stmt,
                   << ck.split_tensor_);
     ck.split_level_ = static_cast<int>(ck.fused_sources_.size()) - 1;
     // Blocked positions address R*C value lanes (a position range is not a
-    // value range) and hashed positions enumerate coordinates in hash order;
-    // neither supports the equal-position split contract.
+    // value range), so they do not support the equal-position split
+    // contract.
     {
       const Tensor& split_t = stmt.tensor(ck.split_tensor_);
       for (int l = 0; l <= ck.split_level_; ++l) {
         const fmt::ModeFormat mf = split_t.format().mode(l);
-        SPD_CHECK(!mf.is_blocked() && !mf.is_hashed(), ScheduleError,
+        SPD_CHECK(!mf.is_blocked(), ScheduleError,
                   "divide_pos cannot split the " << mf.str() << " level of "
                       << ck.split_tensor_
-                      << "; use divide (coordinate space) for blocked/hashed "
+                      << "; use divide (coordinate space) for blocked "
                          "formats");
       }
     }
@@ -316,10 +316,6 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
               ? nullptr
               : own(tp.level_parts[static_cast<size_t>(l)]),
           meta_priv});
-      if (level.hash) {
-        // Hash probes may land on any slot; ship the index whole.
-        launch.reqs.push_back(rt::RegionReq{level.hash, nullptr, meta_priv});
-      }
       if (!level.kind.has_pos()) continue;  // Singleton: crd only
       if (l == 0 || l <= whole_pos_upto) {
         launch.reqs.push_back(rt::RegionReq{level.pos, nullptr, meta_priv});
@@ -346,10 +342,6 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
       if (level.kind.has_pos()) {
         launch.reqs.push_back(
             rt::RegionReq{level.pos, nullptr, Privilege::RO});
-      }
-      if (level.hash) {
-        launch.reqs.push_back(
-            rt::RegionReq{level.hash, nullptr, Privilege::RO});
       }
     }
   };

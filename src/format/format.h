@@ -2,7 +2,7 @@
 // orderings. A k-dimensional tensor is stored as k levels, each described by
 // a property-driven ModeFormat descriptor (Chou et al., "Format Abstraction
 // for Sparse Tensor Algebra Compilers"): a level *kind* (Dense, Compressed,
-// Singleton) plus capability flags (unique/full/ordered/branchless/compact)
+// Singleton, Blocked) plus capability flags (unique/full/branchless/compact)
 // the compiler consults instead of switching on a closed enum.
 //
 // CSR is {Dense, Compressed} with identity ordering; CSC is the same modes
@@ -19,7 +19,7 @@
 
 namespace spdistal::fmt {
 
-enum class LevelKind : uint8_t { Dense, Compressed, Singleton, Blocked, Hashed };
+enum class LevelKind : uint8_t { Dense, Compressed, Singleton, Blocked };
 
 const char* level_kind_name(LevelKind k);
 
@@ -30,9 +30,6 @@ const char* level_kind_name(LevelKind k);
 //   * unique:     no duplicate coordinates below one parent position — a
 //     Compressed(unique=false) level stores one position per stored entry
 //     (the root of a COO chain), so the same coordinate may repeat;
-//   * ordered:    coordinates appear in sorted order. pack() sorts every
-//     level except Hashed ones, whose coordinates are stored in hash order
-//     (probed in O(1), never scanned in order);
 //   * branchless: positions map 1:1 onto the parent level's positions with
 //     no pos indirection (Singleton);
 //   * compact:    no unused positions between stored entries (non-Dense,
@@ -61,18 +58,12 @@ class ModeFormat {
   // The dense-role half of a Blocked pair: R rows per block, no storage.
   static constexpr ModeFormat BlockedDense(int block) {
     return ModeFormat(LevelKind::Blocked, /*unique=*/true, block,
-                      /*blocked_pos=*/false, /*ordered=*/true);
+                      /*blocked_pos=*/false);
   }
   // The compressed-role half: C columns per block; pos + crd over blocks.
   static constexpr ModeFormat BlockedCompressed(int block) {
     return ModeFormat(LevelKind::Blocked, /*unique=*/true, block,
-                      /*blocked_pos=*/true, /*ordered=*/true);
-  }
-  // Unordered level with an O(1) coordinate->position hash index; always a
-  // probe-side (locate) operand, never an iteration driver.
-  static constexpr ModeFormat Hashed() {
-    return ModeFormat(LevelKind::Hashed, /*unique=*/true, 0,
-                      /*blocked_pos=*/false, /*ordered=*/false);
+                      /*blocked_pos=*/true);
   }
 
   constexpr LevelKind kind() const { return kind_; }
@@ -84,7 +75,6 @@ class ModeFormat {
     return kind_ == LevelKind::Singleton;
   }
   constexpr bool is_blocked() const { return kind_ == LevelKind::Blocked; }
-  constexpr bool is_hashed() const { return kind_ == LevelKind::Hashed; }
 
   // --- properties -------------------------------------------------------------
   constexpr bool full() const {
@@ -94,7 +84,6 @@ class ModeFormat {
            (kind_ == LevelKind::Blocked && !blocked_pos_);
   }
   constexpr bool unique() const { return unique_; }
-  constexpr bool ordered() const { return ordered_; }
   constexpr bool branchless() const { return kind_ == LevelKind::Singleton; }
   constexpr bool compact() const {
     return kind_ != LevelKind::Dense && kind_ != LevelKind::Blocked;
@@ -104,38 +93,36 @@ class ModeFormat {
 
   // --- storage capabilities ---------------------------------------------------
   // Which regions the level materializes: Dense and BlockedDense store
-  // nothing, Compressed / BlockedCompressed / Hashed store pos + crd (Hashed
-  // additionally carries a hash index region), Singleton stores crd only.
+  // nothing, Compressed / BlockedCompressed store pos + crd, Singleton
+  // stores crd only.
   constexpr bool has_pos() const {
-    return kind_ == LevelKind::Compressed || kind_ == LevelKind::Hashed ||
+    return kind_ == LevelKind::Compressed ||
            (kind_ == LevelKind::Blocked && blocked_pos_);
   }
   constexpr bool has_crd() const {
     return kind_ == LevelKind::Compressed ||
-           kind_ == LevelKind::Singleton || kind_ == LevelKind::Hashed ||
+           kind_ == LevelKind::Singleton ||
            (kind_ == LevelKind::Blocked && blocked_pos_);
   }
 
   bool operator==(const ModeFormat&) const = default;
 
   // "Dense", "Compressed", "Compressed!u" (non-unique), "Singleton",
-  // "BlockedDense[4]", "Blocked[4]", "Hashed", ...
+  // "BlockedDense[4]", "Blocked[4]".
   std::string str() const;
 
  private:
   constexpr ModeFormat(LevelKind kind, bool unique, int block = 0,
-                       bool blocked_pos = false, bool ordered = true)
+                       bool blocked_pos = false)
       : kind_(kind),
         unique_(unique),
         block_(block),
-        blocked_pos_(blocked_pos),
-        ordered_(ordered) {}
+        blocked_pos_(blocked_pos) {}
 
   LevelKind kind_ = LevelKind::Dense;
   bool unique_ = true;
   int block_ = 0;            // Blocked only: block extent on this dimension
   bool blocked_pos_ = false; // Blocked only: compressed role (stores pos/crd)
-  bool ordered_ = true;      // false for Hashed (crd in hash order)
 };
 
 class Format {
@@ -191,10 +178,5 @@ Format coo(int order);
 // BCSR with fixed block_r x block_c blocks:
 // {BlockedDense(block_r), BlockedCompressed(block_c)}, identity ordering.
 Format bcsr(int block_r, int block_c);
-// Sparse vector with an O(1) hash-probed (unordered) coordinate level.
-Format hashed_vector();
-// CSR whose column level is Hashed: rows iterate densely, columns are
-// probe-only (a locate-side operand; co-iteration rejects it as a driver).
-Format hashed_csr();
 
 }  // namespace spdistal::fmt

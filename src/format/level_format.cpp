@@ -387,11 +387,6 @@ const LevelFuncs& LevelFuncs::get(ModeFormat mf) {
     case LevelKind::Blocked:
       return mf.has_pos() ? static_cast<const LevelFuncs&>(blocked_compressed)
                           : static_cast<const LevelFuncs&>(blocked_dense);
-    case LevelKind::Hashed:
-      // partition_by_value_ranges scans every position (sortedness only
-      // shortens its runs), and Hashed pos segments are contiguous like
-      // Compressed ones, so the Compressed level functions apply verbatim.
-      return compressed;
   }
   return dense;
 }
@@ -415,11 +410,6 @@ int64_t TensorPartition::color_bytes(const TensorStorage& storage,
                  : level_parts[static_cast<size_t>(l - 1)].subset(color)
                        .volume();
       bytes += pos_entries * static_cast<int64_t>(sizeof(rt::PosRange));
-    }
-    if (level.hash) {
-      // Hash probes may land anywhere in the table, so every color ships the
-      // whole index region.
-      bytes += level.hash->size_bytes();
     }
   }
   return bytes;

@@ -72,7 +72,6 @@ int64_t TensorStorage::bytes() const {
   for (const auto& l : levels_) {
     if (l.pos) b += l.pos->size_bytes();
     if (l.crd) b += l.crd->size_bytes();
-    if (l.hash) b += l.hash->size_bytes();
   }
   return b;
 }
@@ -122,8 +121,7 @@ void walk(const TensorStorage& st, int l, Coord parent_pos,
     coords[static_cast<size_t>(level.dim)] = (*level.crd)[parent_pos];
     walk(st, l + 1, parent_pos, coords, fn);
   } else {
-    // Compressed and Hashed: pos segment over this level's crd entries
-    // (a Hashed segment is simply unordered — the walk does not care).
+    // Compressed: pos segment over this level's crd entries.
     const rt::PosRange pr = (*level.pos)[parent_pos];
     for (Coord q = pr.lo; q <= pr.hi; ++q) {
       coords[static_cast<size_t>(level.dim)] = (*level.crd)[q];
@@ -148,11 +146,11 @@ Coo TensorStorage::to_coo() const {
   for_each([&](const std::array<Coord, rt::kMaxDim>& c, double v) {
     if (v != 0.0) coo.push(c, v);
   });
-  // Hashed levels emit in hash order and Blocked pairs emit block-major
-  // (whole blocks, not whole rows); restore the documented storage-order
-  // sort (Blocked padding was already dropped by the v != 0 filter above).
+  // Blocked pairs emit block-major (whole blocks, not whole rows); restore
+  // the documented storage-order sort (Blocked padding was already dropped
+  // by the v != 0 filter above).
   for (const ModeFormat& m : format_.modes()) {
-    if (!m.ordered() || m.is_blocked()) {
+    if (m.is_blocked()) {
       coo.sort(format_.ordering());
       break;
     }

@@ -42,17 +42,16 @@ namespace {
 // descends Dense and Singleton levels directly, binary-searches Compressed
 // segments, and backtracks over a non-unique level's duplicate run (the
 // deeper Singleton coordinates disambiguate).
-template <typename PosAt, typename CrdAt, typename HashAt>
+template <typename PosAt, typename CrdAt>
 Coord locate_walk(const TensorStorage& st, int l, Coord parent,
                   const std::array<Coord, rt::kMaxDim>& coords,
-                  const PosAt& pos_at, const CrdAt& crd_at,
-                  const HashAt& hash_at) {
+                  const PosAt& pos_at, const CrdAt& crd_at) {
   if (l == st.num_levels()) return parent;
   const LevelStorage& level = st.level(l);
   const Coord c = coords[static_cast<size_t>(level.dim)];
   if (level.kind.is_dense()) {
     return locate_walk(st, l + 1, parent * level.extent + c, coords, pos_at,
-                       crd_at, hash_at);
+                       crd_at);
   }
   if (level.kind.is_blocked() && !level.kind.has_pos()) {
     // Blocked pair, handled as a unit: find the R x C block holding
@@ -82,29 +81,12 @@ Coord locate_walk(const TensorStorage& st, int l, Coord parent,
     }
     if (q < 0) return -1;
     return locate_walk(st, l + 2, q * R * C + (c % R) * C + (j % C), coords,
-                       pos_at, crd_at, hash_at);
+                       pos_at, crd_at);
   }
   if (level.kind.is_singleton()) {
     // One coordinate per position; the position is the parent's.
     if (crd_at(l, parent) != c) return -1;
-    return locate_walk(st, l + 1, parent, coords, pos_at, crd_at, hash_at);
-  }
-  if (level.kind.is_hashed()) {
-    // O(1) open-addressing probe; a hit is verified against crd and the
-    // parent's segment (the table stores positions, not keys).
-    const rt::PosRange seg = pos_at(l, parent);
-    if (seg.empty()) return -1;
-    const Coord S = static_cast<Coord>(level.hash->space().volume());
-    Coord slot = static_cast<Coord>(fmt::hashed_level_slot(parent, c) &
-                                    static_cast<uint64_t>(S - 1));
-    for (;;) {
-      const Coord q = hash_at(l, slot);
-      if (q < 0) return -1;
-      if (q >= seg.lo && q <= seg.hi && crd_at(l, q) == c) {
-        return locate_walk(st, l + 1, q, coords, pos_at, crd_at, hash_at);
-      }
-      slot = (slot + 1) & (S - 1);
-    }
+    return locate_walk(st, l + 1, parent, coords, pos_at, crd_at);
   }
   const rt::PosRange seg = pos_at(l, parent);
   if (seg.empty()) return -1;
@@ -128,14 +110,14 @@ Coord locate_walk(const TensorStorage& st, int l, Coord parent,
   }
   if (q < 0) return -1;
   if (level.kind.unique()) {
-    return locate_walk(st, l + 1, q, coords, pos_at, crd_at, hash_at);
+    return locate_walk(st, l + 1, q, coords, pos_at, crd_at);
   }
   Coord lo = q;
   while (lo > seg.lo && crd_at(l, lo - 1) == c) --lo;
   Coord hi = q;
   while (hi < seg.hi && crd_at(l, hi + 1) == c) ++hi;
   for (Coord p = lo; p <= hi; ++p) {
-    const Coord r = locate_walk(st, l + 1, p, coords, pos_at, crd_at, hash_at);
+    const Coord r = locate_walk(st, l + 1, p, coords, pos_at, crd_at);
     if (r >= 0) return r;
   }
   return -1;
@@ -150,7 +132,6 @@ Coord locate_position(const TensorStorage& st,
   // contract; spttv_nz calls this once per fiber).
   std::array<rt::RegionAccessor<rt::PosRange>, rt::kMaxDim> lpos;
   std::array<rt::RegionAccessor<int32_t>, rt::kMaxDim> lcrd;
-  std::array<rt::RegionAccessor<int32_t>, rt::kMaxDim> lhash;
   for (int l = 0; l < st.num_levels(); ++l) {
     const LevelStorage& level = st.level(l);
     if (level.kind.has_pos()) {
@@ -161,10 +142,6 @@ Coord locate_position(const TensorStorage& st,
       lcrd[static_cast<size_t>(l)] =
           rt::RegionAccessor<int32_t>(*level.crd, rt::Access::Read);
     }
-    if (level.hash) {
-      lhash[static_cast<size_t>(l)] =
-          rt::RegionAccessor<int32_t>(*level.hash, rt::Access::Read);
-    }
   }
   const auto pos_at = [&](int l, Coord p) {
     return lpos[static_cast<size_t>(l)][p];
@@ -172,10 +149,7 @@ Coord locate_position(const TensorStorage& st,
   const auto crd_at = [&](int l, Coord q) {
     return Coord{lcrd[static_cast<size_t>(l)][q]};
   };
-  const auto hash_at = [&](int l, Coord slot) {
-    return Coord{lhash[static_cast<size_t>(l)][slot]};
-  };
-  return locate_walk(st, 0, 0, coords, pos_at, crd_at, hash_at);
+  return locate_walk(st, 0, 0, coords, pos_at, crd_at);
 }
 
 CoiterEngine::CoiterEngine(const Statement& stmt,
@@ -248,9 +222,6 @@ rt::WorkEstimate CoiterEngine::run_term(const tin::Expr& term,
     // Per storage level; default (invalid) for Dense levels.
     std::vector<rt::RegionAccessor<rt::PosRange>> lpos;
     std::vector<rt::RegionAccessor<int32_t>> lcrd;
-    // Hashed levels: open-addressing index and its (power-of-two) size.
-    std::vector<rt::RegionAccessor<int32_t>> lhash;
-    std::vector<Coord> lhsize;
   };
   std::vector<TermAccess> accs;
   double coeff = 1.0;
@@ -273,8 +244,6 @@ rt::WorkEstimate CoiterEngine::run_term(const tin::Expr& term,
             const LevelStorage& level = a.st->level(l);
             a.lpos.emplace_back();
             a.lcrd.emplace_back();
-            a.lhash.emplace_back();
-            a.lhsize.push_back(0);
             if (level.kind.has_pos()) {
               a.lpos.back() =
                   rt::RegionAccessor<rt::PosRange>(*level.pos,
@@ -283,11 +252,6 @@ rt::WorkEstimate CoiterEngine::run_term(const tin::Expr& term,
             if (level.kind.has_crd()) {
               a.lcrd.back() =
                   rt::RegionAccessor<int32_t>(*level.crd, rt::Access::Read);
-            }
-            if (level.hash) {
-              a.lhash.back() =
-                  rt::RegionAccessor<int32_t>(*level.hash, rt::Access::Read);
-              a.lhsize.back() = static_cast<Coord>(level.hash->space().volume());
             }
           }
           accs.push_back(std::move(a));
@@ -342,13 +306,11 @@ rt::WorkEstimate CoiterEngine::run_term(const tin::Expr& term,
   const rt::LinearAccessor<double> out_vals(*out_st.vals());
   std::vector<rt::RegionAccessor<rt::PosRange>> out_lpos;
   std::vector<rt::RegionAccessor<int32_t>> out_lcrd;
-  std::vector<rt::RegionAccessor<int32_t>> out_lhash;
   if (!output_.all_dense) {
     for (int l = 0; l < out_st.num_levels(); ++l) {
       const LevelStorage& level = out_st.level(l);
       out_lpos.emplace_back();
       out_lcrd.emplace_back();
-      out_lhash.emplace_back();
       if (level.kind.has_pos()) {
         out_lpos.back() =
             rt::RegionAccessor<rt::PosRange>(*level.pos, rt::Access::Read);
@@ -356,10 +318,6 @@ rt::WorkEstimate CoiterEngine::run_term(const tin::Expr& term,
       if (level.kind.has_crd()) {
         out_lcrd.back() =
             rt::RegionAccessor<int32_t>(*level.crd, rt::Access::Read);
-      }
-      if (level.hash) {
-        out_lhash.back() =
-            rt::RegionAccessor<int32_t>(*level.hash, rt::Access::Read);
       }
     }
   }
@@ -373,10 +331,7 @@ rt::WorkEstimate CoiterEngine::run_term(const tin::Expr& term,
     const auto crd_at = [&](int l, Coord q) {
       return Coord{out_lcrd[static_cast<size_t>(l)][q]};
     };
-    const auto hash_at = [&](int l, Coord slot) {
-      return Coord{out_lhash[static_cast<size_t>(l)][slot]};
-    };
-    return locate_walk(out_st, 0, 0, coords, pos_at, crd_at, hash_at);
+    return locate_walk(out_st, 0, 0, coords, pos_at, crd_at);
   };
   auto emit = [&]() {
     double v = coeff;
@@ -459,29 +414,6 @@ rt::WorkEstimate CoiterEngine::run_term(const tin::Expr& term,
         const Coord q = find_in_segment(accs[a].lcrd[depth], seg, c / C);
         if (q < 0) return false;
         cur[a].parent = q * R * C + (i % R) * C + (c % C);
-      } else if (level.kind.is_hashed()) {
-        const size_t depth = static_cast<size_t>(cur[a].depth);
-        const rt::PosRange seg = accs[a].lpos[depth][cur[a].parent];
-        work.segment();
-        if (seg.empty()) return false;
-        const Coord S = accs[a].lhsize[depth];
-        Coord slot = static_cast<Coord>(
-            fmt::hashed_level_slot(cur[a].parent, c) &
-            static_cast<uint64_t>(S - 1));
-        Coord q = -1;
-        for (;;) {
-          const Coord e = Coord{accs[a].lhash[depth][slot]};
-          if (e < 0) break;
-          if (e >= seg.lo && e <= seg.hi &&
-              Coord{accs[a].lcrd[depth][e]} == c) {
-            q = e;
-            break;
-          }
-          slot = (slot + 1) & (S - 1);
-        }
-        work.stream(1, 8.0);
-        if (q < 0) return false;
-        cur[a].parent = q;
       } else if (level.kind.is_singleton()) {
         // Coordinate-per-position: the cursor's position carries over; the
         // stored coordinate either matches or this branch is dead.
@@ -524,19 +456,11 @@ rt::WorkEstimate CoiterEngine::run_term(const tin::Expr& term,
     // as the driver; two non-unique levels on one variable cannot co-iterate.
     int driver = -1;
     bool driver_nonunique = false;
-    bool hashed_only = false;
     for (size_t a = 0; a < accs.size(); ++a) {
       if (accs[a].all_dense) continue;
       if (cur[a].depth < static_cast<int>(accs[a].level_var_ids.size()) &&
           accs[a].level_var_ids[static_cast<size_t>(cur[a].depth)] == v.id() &&
           accs[a].st->level(cur[a].depth).kind.has_crd()) {
-        if (accs[a].st->level(cur[a].depth).kind.is_hashed()) {
-          // Hashed coordinates are stored in hash order: driving the loop
-          // from them would enumerate coordinates unordered (breaking
-          // co-iteration and deterministic output). They are probe-only.
-          hashed_only = true;
-          continue;
-        }
         const bool nu = !accs[a].st->level(cur[a].depth).kind.unique();
         SPD_CHECK(!(nu && driver_nonunique), ScheduleError,
                   "cannot co-iterate two non-unique levels over "
@@ -547,12 +471,6 @@ rt::WorkEstimate CoiterEngine::run_term(const tin::Expr& term,
         }
       }
     }
-    SPD_CHECK(driver >= 0 || !hashed_only, ScheduleError,
-              "a Hashed level would have to drive iteration over "
-                  << v.name()
-                  << "; hashed levels are probe-only (locate) — reorder "
-                     "loops so an ordered level or dense loop drives the "
-                     "variable, or use an ordered format");
     // Piece restriction: the legacy outermost-variable bound plus any
     // var-keyed bound from a multi-axis (grid) distribution.
     rt::Rect1 bound{0, extent.count(v.id()) ? extent.at(v.id()) - 1 : -1};
@@ -667,12 +585,11 @@ rt::WorkEstimate CoiterEngine::run_term(const tin::Expr& term,
             "split level out of range");
   for (int l = 0; l <= L; ++l) {
     const ModeFormat mf = sa.st->level(l).kind;
-    SPD_CHECK(!mf.is_blocked() && !mf.is_hashed(), ScheduleError,
+    SPD_CHECK(!mf.is_blocked(), ScheduleError,
               "position-space iteration cannot split the "
                   << mf.str() << " level of " << sa.st->name()
-                  << ": block positions address R*C value lanes and hashed "
-                     "positions are unordered; use divide (coordinate "
-                     "space) instead");
+                  << ": block positions address R*C value lanes; use "
+                     "divide (coordinate space) instead");
   }
   // The first L+1 iteration variables must be the split tensor's leading
   // level variables.

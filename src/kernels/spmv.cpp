@@ -5,31 +5,49 @@ namespace spdistal::kern {
 
 using rt::Coord;
 
+namespace {
+
+// The CSR row loop: one dot product per row of `rows`, accumulated into
+// a(i). With `cols`, stored columns outside it are skipped and only stream
+// their crd during the scan (the inner universe axis of a non-zero x
+// universe grid).
+rt::WorkEstimate spmv_rows(Tensor& a, Tensor& B, Tensor& c, rt::Rect1 rows,
+                           std::optional<rt::Rect1> cols) {
+  WorkCounter work;
+  const auto& Bl = B.storage().level(1);
+  // Accessors resolve the reduction-redirect indirection once per leaf
+  // invocation; the inner loops below index raw pointers.
+  const rt::RegionAccessor<rt::PosRange> pos(*Bl.pos, rt::Access::Read);
+  const rt::RegionAccessor<int32_t> crd(*Bl.crd, rt::Access::Read);
+  const rt::RegionAccessor<double> bv(*B.storage().vals(), rt::Access::Read);
+  const rt::RegionAccessor<double> cv(*c.storage().vals(), rt::Access::Read);
+  const rt::RegionAccessor<double> av(*a.storage().vals());
+  for (Coord i = rows.lo; i <= rows.hi; ++i) {
+    const rt::PosRange seg = pos[i];
+    work.segment();
+    double sum = 0;
+    int64_t computed = 0;
+    for (Coord q = seg.lo; q <= seg.hi; ++q) {
+      const Coord j = crd[q];
+      if (cols && (j < cols->lo || j > cols->hi)) continue;
+      sum += bv[q] * cv[j];
+      ++computed;
+    }
+    work.fma_sparse(computed);
+    if (cols) work.stream(seg.size() - computed, 4.0);
+    av[i] += sum;
+    work.stream(1);
+  }
+  return work.done();
+}
+
+}  // namespace
+
 Leaf make_spmv_row(Tensor a, Tensor B, Tensor c) {
   return [a, B, c](const PieceBounds& piece) mutable -> rt::WorkEstimate {
-    WorkCounter work;
-    const auto& Bl = B.storage().level(1);
-    // Accessors resolve the reduction-redirect indirection once per leaf
-    // invocation; the inner loops below index raw pointers.
-    const rt::RegionAccessor<rt::PosRange> pos(*Bl.pos, rt::Access::Read);
-    const rt::RegionAccessor<int32_t> crd(*Bl.crd, rt::Access::Read);
-    const rt::RegionAccessor<double> bv(*B.storage().vals(), rt::Access::Read);
-    const rt::RegionAccessor<double> cv(*c.storage().vals(), rt::Access::Read);
-    const rt::RegionAccessor<double> av(*a.storage().vals());
-    const rt::Rect1 rows = piece.dist_coords.value_or(
-        rt::Rect1{0, B.dims()[0] - 1});
-    for (Coord i = rows.lo; i <= rows.hi; ++i) {
-      const rt::PosRange seg = pos[i];
-      work.segment();
-      double sum = 0;
-      for (Coord q = seg.lo; q <= seg.hi; ++q) {
-        sum += bv[q] * cv[crd[q]];
-      }
-      work.fma_sparse(seg.size());
-      av[i] += sum;
-      work.stream(1);
-    }
-    return work.done();
+    return spmv_rows(a, B, c,
+                     piece.dist_coords.value_or(rt::Rect1{0, B.dims()[0] - 1}),
+                     std::nullopt);
   };
 }
 
@@ -42,40 +60,13 @@ Leaf make_spmv_nz(Tensor a, Tensor B, Tensor c,
   if (pos_level == 0 && !B.storage().level(0).kind.has_crd()) {
     return [a, B, c, col_var](const PieceBounds& piece) mutable
                -> rt::WorkEstimate {
-      WorkCounter work;
-      const auto& Bl = B.storage().level(1);
-      const rt::RegionAccessor<rt::PosRange> pos(*Bl.pos, rt::Access::Read);
-      const rt::RegionAccessor<int32_t> crd(*Bl.crd, rt::Access::Read);
-      const rt::RegionAccessor<double> bv(*B.storage().vals(),
-                                          rt::Access::Read);
-      const rt::RegionAccessor<double> cv(*c.storage().vals(),
-                                          rt::Access::Read);
-      const rt::RegionAccessor<double> av(*a.storage().vals());
-      const rt::Rect1 rows = piece.dist_pos.value_or(
-          rt::Rect1{0, B.dims()[0] - 1});
-      const rt::Rect1 cols =
-          col_var.has_value()
-              ? piece.var_bound(*col_var, rt::Rect1{0, B.dims()[1] - 1})
-              : rt::Rect1{0, B.dims()[1] - 1};
-      const bool clamp = col_var.has_value();
-      for (Coord i = rows.lo; i <= rows.hi; ++i) {
-        const rt::PosRange seg = pos[i];
-        work.segment();
-        double sum = 0;
-        int64_t computed = 0;
-        for (Coord q = seg.lo; q <= seg.hi; ++q) {
-          const Coord j = crd[q];
-          if (clamp && (j < cols.lo || j > cols.hi)) continue;
-          sum += bv[q] * cv[j];
-          ++computed;
-        }
-        // Clamped-out entries only stream their crd during the scan.
-        work.fma_sparse(computed);
-        if (clamp) work.stream(seg.size() - computed, 4.0);
-        av[i] += sum;
-        work.stream(1);
+      std::optional<rt::Rect1> cols;
+      if (col_var) {
+        cols = piece.var_bound(*col_var, rt::Rect1{0, B.dims()[1] - 1});
       }
-      return work.done();
+      return spmv_rows(a, B, c,
+                       piece.dist_pos.value_or(rt::Rect1{0, B.dims()[0] - 1}),
+                       cols);
     };
   }
   // B is CSR ({Dense, Compressed}) or COO ({Compressed!u, Singleton}). For

@@ -102,6 +102,34 @@ bool IndexSubset::empty() const {
   return true;
 }
 
+namespace {
+// Subtracts rectangle `b` from rectangle `a`, appending the (disjoint)
+// remainder pieces to `out`. Standard axis-by-axis slab decomposition:
+// at most 2*dim pieces.
+void rect_subtract(const RectN& a, const RectN& b, std::vector<RectN>& out) {
+  if (!a.overlaps(b)) {
+    if (!a.empty()) out.push_back(a);
+    return;
+  }
+  RectN rem = a;  // shrinking remainder that still intersects b
+  for (int d = 0; d < a.dim; ++d) {
+    if (rem.lo[d] < b.lo[d]) {
+      RectN below = rem;
+      below.hi[d] = b.lo[d] - 1;
+      if (!below.empty()) out.push_back(below);
+      rem.lo[d] = b.lo[d];
+    }
+    if (rem.hi[d] > b.hi[d]) {
+      RectN above = rem;
+      above.lo[d] = b.hi[d] + 1;
+      if (!above.empty()) out.push_back(above);
+      rem.hi[d] = b.hi[d];
+    }
+  }
+  // What's left of rem is fully inside b: dropped.
+}
+}  // namespace
+
 int64_t IndexSubset::volume() const {
   // Valid only post-normalize (rects disjoint).
   int64_t v = 0;
@@ -137,9 +165,11 @@ void IndexSubset::normalize() {
     normalized1_ = true;
     return;
   }
-  // N-D: drop rectangles fully contained in another; exact disjointness is
-  // not required by any N-D client (dense partitions are disjoint rects by
-  // construction), so containment pruning suffices.
+  // N-D: drop rectangles fully contained in another (and duplicates), then
+  // cut each survivor that partially overlaps an earlier kept rectangle
+  // into its rect_subtract pieces, so the rectangles end up pairwise
+  // disjoint and volume() counts every point once. Dense partitions are
+  // disjoint rects by construction and pass through unchanged.
   std::vector<RectN> out;
   for (const auto& r : rects_) {
     bool contained = false;
@@ -160,7 +190,19 @@ void IndexSubset::normalize() {
       if (!dup) out.push_back(r);
     }
   }
-  rects_ = std::move(out);
+  rects_.clear();
+  std::vector<RectN> pieces, next;
+  for (const RectN& r : out) {
+    pieces.assign(1, r);
+    for (const RectN& k : rects_) {
+      if (!r.overlaps(k)) continue;
+      next.clear();
+      for (const RectN& p : pieces) rect_subtract(p, k, next);
+      pieces.swap(next);
+      if (pieces.empty()) break;
+    }
+    rects_.insert(rects_.end(), pieces.begin(), pieces.end());
+  }
 }
 
 bool IndexSubset::contains_point(const std::array<Coord, kMaxDim>& p) const {
@@ -315,34 +357,6 @@ IndexSubset IndexSubset::unite(const IndexSubset& o) const {
   out.normalize();
   return out;
 }
-
-namespace {
-// Subtracts rectangle `b` from rectangle `a`, appending the (disjoint)
-// remainder pieces to `out`. Standard axis-by-axis slab decomposition:
-// at most 2*dim pieces.
-void rect_subtract(const RectN& a, const RectN& b, std::vector<RectN>& out) {
-  if (!a.overlaps(b)) {
-    if (!a.empty()) out.push_back(a);
-    return;
-  }
-  RectN rem = a;  // shrinking remainder that still intersects b
-  for (int d = 0; d < a.dim; ++d) {
-    if (rem.lo[d] < b.lo[d]) {
-      RectN below = rem;
-      below.hi[d] = b.lo[d] - 1;
-      if (!below.empty()) out.push_back(below);
-      rem.lo[d] = b.lo[d];
-    }
-    if (rem.hi[d] > b.hi[d]) {
-      RectN above = rem;
-      above.lo[d] = b.hi[d] + 1;
-      if (!above.empty()) out.push_back(above);
-      rem.hi[d] = b.hi[d];
-    }
-  }
-  // What's left of rem is fully inside b: dropped.
-}
-}  // namespace
 
 IndexSubset IndexSubset::subtract(const IndexSubset& o) const {
   if (dim_ == 1 && o.dim_ == 1) {

@@ -94,8 +94,8 @@ class IndexSubset {
   // batch of adds before relying on set semantics.
   void add(const RectN& r);
   // Sorts, merges adjacent/overlapping rectangles (1-D; a no-op on lists
-  // that already satisfy the invariant); deduplicates and removes contained
-  // rectangles (N-D).
+  // that already satisfy the invariant); deduplicates, removes contained
+  // rectangles and splits partial overlaps into disjoint pieces (N-D).
   void normalize();
 
   bool contains_point(const std::array<Coord, kMaxDim>& p) const;

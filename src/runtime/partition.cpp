@@ -26,20 +26,13 @@ bool Partition::complete() const {
     for (const auto& r : s.rects()) u.add(r);
   }
   u.normalize();
-  if (parent_.dim() == 1) {
-    // After normalization a 1-D union is a disjoint sorted interval list, so
-    // volumes are exact.
-    return u.volume() == parent_.volume();
-  }
-  // N-D: normalize() does not make overlapping rectangles disjoint, so a
-  // volume sum can double-count overlaps and report completeness despite
-  // holes. Subtraction is exact in any dimension: the partition is complete
-  // iff no point of the parent survives removing the union. Escaping rects
-  // still fail loudly (coverage of the parent would mask them).
+  // After normalization the union's rects are pairwise disjoint in any
+  // dimension, so its volume is exact. A rect escaping the parent would
+  // inflate it and mask a hole, so escapes fail loudly instead.
   for (const auto& r : u.rects()) {
     SPD_ASSERT(parent_.bounds().contains(r), "subset escapes parent space");
   }
-  return parent_.as_subset().subtract(u).empty();
+  return u.volume() == parent_.volume();
 }
 
 std::string Partition::str() const {

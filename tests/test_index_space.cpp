@@ -352,6 +352,7 @@ TEST_P(SubsetAlgebraProperty, MatchesPointOracle2D) {
   const IndexSubset b = soup();
   const IndexSubset i = a.intersect(b), d = a.subtract(b), u = a.unite(b);
   bool any_shared = false, a_has_all_b = true;
+  int64_t i_points = 0, d_points = 0, u_points = 0;
   for (Coord x = 0; x < n; ++x) {
     for (Coord y = 0; y < n; ++y) {
       const bool in_a = a.contains_point({x, y});
@@ -361,10 +362,33 @@ TEST_P(SubsetAlgebraProperty, MatchesPointOracle2D) {
       ASSERT_EQ(u.contains_point({x, y}), in_a || in_b) << x << "," << y;
       any_shared = any_shared || (in_a && in_b);
       a_has_all_b = a_has_all_b && (in_a || !in_b);
+      i_points += in_a && in_b;
+      d_points += in_a && !in_b;
+      u_points += in_a || in_b;
     }
   }
   EXPECT_EQ(a.overlaps(b), any_shared);
   EXPECT_EQ(a.covers(b), a_has_all_b);
+  // Normalized N-D results are pairwise disjoint, so volume() counts every
+  // point once.
+  EXPECT_EQ(i.volume(), i_points);
+  EXPECT_EQ(d.volume(), d_points);
+  EXPECT_EQ(u.volume(), u_points);
+}
+
+// Partially overlapping N-D rects (neither contains the other) are split on
+// normalize: the union of two 10x10 tiles sharing a 5x10 strip holds 150
+// points, not 200.
+TEST(IndexSubset, PartialOverlapVolumeCountsPointsOnce) {
+  IndexSubset a(RectN::make2(0, 9, 0, 9));
+  IndexSubset b(RectN::make2(5, 14, 0, 9));
+  const IndexSubset u = a.unite(b);
+  EXPECT_EQ(u.volume(), 150);
+  for (size_t x = 0; x < u.rects().size(); ++x) {
+    for (size_t y = x + 1; y < u.rects().size(); ++y) {
+      EXPECT_FALSE(u.rects()[x].overlaps(u.rects()[y]));
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSoups, SubsetAlgebraProperty,

@@ -216,6 +216,23 @@ TEST(PartitionComplete, OverlappingNDRectsDoNotMaskHoles) {
   EXPECT_TRUE(q.complete());
 }
 
+// A 2-D partition whose colors partially overlap (neither containing the
+// other) and leave a hole of exactly the overlap's size: the per-rect
+// volume sum is 16 like the parent's, so completeness must count the shared
+// points once to see the uncovered last column.
+TEST(PartitionComplete, Overlapping2DTilesWithHole) {
+  IndexSpace s(RectN::make2(0, 3, 0, 3));  // 16 points
+  std::vector<IndexSubset> tiles = {
+      IndexSubset(RectN::make2(0, 2, 0, 1)),  // 6 points
+      IndexSubset(RectN::make2(1, 3, 0, 2)),  // 9 points, 4 shared
+      IndexSubset(RectN::make2(0, 0, 2, 2)),  // 1 point
+  };
+  // 12 distinct points; column 3 (4 points) is the hole.
+  EXPECT_FALSE(Partition(s, tiles).complete());
+  tiles.push_back(IndexSubset(RectN::make2(0, 3, 3, 3)));
+  EXPECT_TRUE(Partition(s, tiles).complete());
+}
+
 // Overlapping value ranges may not be binary-searched: a value inside two
 // ranges must land in both colors (the exhaustive fallback path).
 TEST(PartitionByValueRanges, OverlappingRangesKeepMultiMembership) {

@@ -111,6 +111,35 @@ TEST(VerifyLint, RejectsDividePosOfUnreferencedTensor) {
   }
 }
 
+TEST(VerifyLint, RejectsDividePosThroughBlockedLevel) {
+  VerifyGuard guard;
+  fmt::Coo coo = data::uniform_matrix(32, 32, 200, 11);
+  IndexVar i{"i"}, j{"j"}, f{"f"}, fo{"fo"}, fi{"fi"};
+  Tensor a("a", {32}, fmt::dense_vector(), tdn::parse_tdn("a(x) -> M(x)"));
+  Tensor B("B", {32, 32}, fmt::bcsr(4, 4), tdn::parse_tdn("B(x, y) -> M(x)"));
+  Tensor c("c", {32}, fmt::dense_vector(), tdn::parse_tdn("c(x) -> M(y)"));
+  B.from_coo(std::move(coo));
+  c.init_dense([](const auto&) { return 1.0; });
+  Statement& stmt = (a(i) = B(i, j) * c(j));
+  sched::Schedule s;
+  s.fuse(i, j, f).divide_pos(f, fo, fi, 2, "B").distribute(fo);
+  const Machine m = cpu_machine(2);
+  std::vector<verify::Violation> found = verify::lint_statement(stmt, s, m);
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].rule, "divide-pos-blocked");
+  // The linter, not the lowering, rejects it: the message carries its tag.
+  try {
+    comp::CompiledKernel::compile(stmt, s, m);
+    FAIL() << "lint accepted divide_pos() through a Blocked level";
+  } catch (const ScheduleError& e) {
+    EXPECT_NE(std::string(e.what()).find("verify(lint)"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("BlockedDense[4]"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(VerifyLint, AcceptsTheCleanFigure1Schedule) {
   VerifyGuard guard;
   SpmvProgram prog(2);
