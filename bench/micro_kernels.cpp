@@ -76,7 +76,7 @@ void BM_SpmvNz(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmvNz)->Arg(100000);
 
-// COO leaf: rows come from the root crd instead of a precomputed owner map.
+// COO leaf: rows come from the root crd instead of a walk over the row pos.
 void BM_SpmvNzCoo(benchmark::State& state) {
   SpmvFixture f(state.range(0), fmt::coo(2));
   kern::Leaf leaf = kern::make_spmv_nz(f.a, f.B, f.c);

@@ -35,8 +35,7 @@ Result autoschedule_search(const Statement& stmt, const rt::Machine& machine,
 
   const PlanKey key = plan_key(stmt, machine);
   if (options.use_cache) {
-    if (auto cached =
-            PlanCache::global().lookup(key, options.use_store)) {
+    if (auto cached = PlanCache::global().lookup(key)) {
       try {
         result.schedule = materialize(cached->recipe, stmt);
         result.recipe = cached->recipe;
@@ -68,7 +67,7 @@ Result autoschedule_search(const Statement& stmt, const rt::Machine& machine,
   std::vector<Candidate> candidates;
   {
     OBS_SPAN("autosched", "enumerate");
-    candidates = enumerate_candidates(stmt, machine, options);
+    candidates = enumerate_candidates(stmt, machine);
   }
   SPD_CHECK(!candidates.empty(), ScheduleError,
             "auto-scheduler found no legal schedule for " << stmt.str());
@@ -112,11 +111,9 @@ Result autoschedule_search(const Statement& stmt, const rt::Machine& machine,
     exec::Executor fan(exec::WorkerPool::shared());
     for (size_t k = 0; k < top_k; ++k) {
       Candidate& c = candidates[order[k]];
-      fan.submit("simulate " + c.recipe.str(), [&c, &proxies, &machine,
-                                               &options, k] {
+      fan.submit("simulate " + c.recipe.str(), [&c, &proxies, &machine, k] {
         try {
-          c.sim_time =
-              simulate_candidate(proxies[k], c.schedule, machine, options);
+          c.sim_time = simulate_candidate(proxies[k], c.schedule, machine);
           c.simulated = true;
         } catch (const SpdError&) {
           // Cannot be instantiated on this machine (e.g. simulated OOM):

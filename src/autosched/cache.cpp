@@ -128,8 +128,7 @@ void PlanCache::mutate(Fn&& fn) {
   snap_ = std::move(next);
 }
 
-std::optional<PlanCache::Hit> PlanCache::lookup(const PlanKey& key,
-                                                bool allow_store) {
+std::optional<PlanCache::Hit> PlanCache::lookup(const PlanKey& key) {
   static obs::Counter& hit_metric =
       obs::Metrics::global().counter("plan_store.hits");
   static obs::Counter& fuzzy_metric =
@@ -138,7 +137,7 @@ std::optional<PlanCache::Hit> PlanCache::lookup(const PlanKey& key,
       obs::Metrics::global().counter("plan_store.misses");
   // May trigger the one-time SPDISTAL_PLAN_STORE load (which inserts into
   // this cache); resolve it before taking any lock.
-  const bool store_ok = allow_store && plan_store_enabled();
+  const bool store_ok = plan_store_enabled();
   const double fuzz = store_ok ? plan_fuzz() : 0.0;
 
   const auto snap = snapshot();

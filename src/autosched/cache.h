@@ -85,13 +85,12 @@ class PlanCache {
     bool fuzzy = false;  // served by the fingerprint tier, not exact match
   };
 
-  // Two-tier lookup: exact key, then (when the plan store is enabled, fuzz
-  // tolerance > 0, and `allow_store`) the nearest fingerprint within
-  // tolerance among entries sharing the structural half. Counts a hit,
-  // fuzzy hit, or miss. `allow_store=false` additionally ignores entries
-  // that came from the persisted store (per-search override of the global
-  // switch).
-  std::optional<Hit> lookup(const PlanKey& key, bool allow_store = true);
+  // Two-tier lookup: exact key, then (when the plan store is enabled and
+  // fuzz tolerance > 0) the nearest fingerprint within tolerance among
+  // entries sharing the structural half. Counts a hit, fuzzy hit, or miss.
+  // With the plan store disabled, entries that came from the persisted
+  // store are ignored.
+  std::optional<Hit> lookup(const PlanKey& key);
   void insert(const PlanKey& key, const Recipe& recipe, double cost);
 
   // Bulk-inserts entries loaded from a persisted store. Entries already

@@ -99,6 +99,6 @@ Statement clone_proxy_output(const Statement& proxy);
 // SpdError when the candidate cannot be instantiated; callers treat that as
 // an infinite cost.
 double simulate_candidate(Statement& proxy, const sched::Schedule& schedule,
-                          const rt::Machine& machine, const Options& options);
+                          const rt::Machine& machine);
 
 }  // namespace spdistal::autosched

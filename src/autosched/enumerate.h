@@ -14,7 +14,6 @@
 
 #include <vector>
 
-#include "autosched/options.h"
 #include "autosched/recipe.h"
 #include "runtime/machine.h"
 
@@ -29,10 +28,10 @@ struct Candidate {
 };
 
 // Deterministic enumeration order: universe candidates first (communicate
-// before not, piece counts ascending), then position-space candidates per
-// sparse operand in access order, fusion depth ascending.
+// before not, piece counts ascending: one piece per processor, then 2x
+// overdecomposed), then position-space candidates per sparse operand in
+// access order, fusion depth ascending.
 std::vector<Candidate> enumerate_candidates(const Statement& stmt,
-                                            const rt::Machine& machine,
-                                            const Options& options);
+                                            const rt::Machine& machine);
 
 }  // namespace spdistal::autosched

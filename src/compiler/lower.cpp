@@ -298,9 +298,10 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
   // the leaf scans that level's entire crd array and filters by the piece's
   // coordinate block (coiter's non-unique/driver loop), so `scan_level`
   // declares its crd whole-region — the partitioned subset would
-  // under-declare what every point actually reads. Position splits build
-  // owner maps over the complete pos array of every Compressed level at or
-  // above the split, so `whole_pos_upto` declares those pos regions whole.
+  // under-declare what every point actually reads. A position split's leaf
+  // binary-searches the complete pos array of every Compressed level at or
+  // above the split for its piece's first parent, so `whole_pos_upto`
+  // declares those pos regions whole.
   auto add_sparse_reqs = [&](const fmt::TensorStorage& st,
                              const TensorPartition& tp, Privilege vals_priv,
                              Privilege meta_priv, int scan_level = -1,

@@ -129,7 +129,7 @@ Coord locate_position(const TensorStorage& st,
                       const std::array<Coord, rt::kMaxDim>& coords) {
   // Accessors resolve the reduction-redirect once per level up front, so
   // the walk's binary-search probes index raw pointers (the kernel ABI
-  // contract; spttv_nz calls this once per fiber).
+  // contract; spttv_nz calls this once per piece).
   std::array<rt::RegionAccessor<rt::PosRange>, rt::kMaxDim> lpos;
   std::array<rt::RegionAccessor<int32_t>, rt::kMaxDim> lcrd;
   for (int l = 0; l < st.num_levels(); ++l) {
@@ -601,20 +601,14 @@ rt::WorkEstimate CoiterEngine::run_term(const tin::Expr& term,
               "variables to be outermost");
   }
 
-  // Owner maps: owner[l][q] = parent position of q at level l (Compressed
-  // levels only; Dense parents are q / extent, Singleton positions are the
-  // parent's own).
-  std::vector<std::vector<Coord>> owner(static_cast<size_t>(L + 1));
-  for (int l = 0; l <= L; ++l) {
+  // Parent cursors of the Compressed levels below the root (Dense parents
+  // are q / extent, Singleton positions are the parent's own). Positions
+  // rise with q at every level, so each cursor only steps forward.
+  std::vector<ParentCursor> parent_at(static_cast<size_t>(L + 1));
+  for (int l = 1; l <= L; ++l) {
     const LevelStorage& level = sa.st->level(l);
-    if (!level.kind.has_pos()) continue;
-    owner[static_cast<size_t>(l)].assign(
-        static_cast<size_t>(level.positions), 0);
-    for (Coord p = 0; p < level.parent_positions; ++p) {
-      const rt::PosRange seg = sa.lpos[static_cast<size_t>(l)][p];
-      for (Coord q = seg.lo; q <= seg.hi; ++q) {
-        owner[static_cast<size_t>(l)][static_cast<size_t>(q)] = p;
-      }
+    if (level.kind.is_compressed()) {
+      parent_at[static_cast<size_t>(l)] = ParentCursor(level);
     }
   }
 
@@ -627,10 +621,9 @@ rt::WorkEstimate CoiterEngine::run_term(const tin::Expr& term,
       const LevelStorage& level = sa.st->level(l);
       const Coord p = pos_at[static_cast<size_t>(l)];
       pos_at[static_cast<size_t>(l - 1)] =
-          level.kind.is_compressed()
-              ? owner[static_cast<size_t>(l)][static_cast<size_t>(p)]
-              : level.kind.is_singleton() ? p
-                                          : p / level.extent;
+          level.kind.is_compressed()  ? parent_at[static_cast<size_t>(l)](p)
+          : level.kind.is_singleton() ? p
+                                      : p / level.extent;
     }
     // Coordinates per fused level, clamped mid-chain against any var-keyed
     // piece bounds (inner universe axes of a grid may restrict a fused

@@ -18,6 +18,7 @@
 //   * sparse outputs must have their pattern pre-assembled (see assembly.h).
 #pragma once
 
+#include <algorithm>
 #include <optional>
 
 #include "runtime/index_space.h"
@@ -48,6 +49,78 @@ struct PieceBounds {
     return full;
   }
 };
+
+// Coordinate-position iteration's parent lookup at one level that stores
+// `pos` (Compressed): returns the parent position owning each child
+// position of a rising sequence. The first call binary-searches `pos`;
+// later calls only step forward. Packing writes an empty segment as
+// {lo, lo-1}, so pos[p].hi never decreases and the first p with
+// pos[p].hi >= q owns q. Construct inside the leaf body (it holds an
+// accessor).
+class ParentCursor {
+ public:
+  ParentCursor() = default;
+  explicit ParentCursor(const fmt::LevelStorage& level)
+      : pos_(*level.pos, rt::Access::Read), parents_(level.parent_positions) {}
+
+  // Parent of stored child position `q`; successive calls must not pass a
+  // smaller q.
+  rt::Coord operator()(rt::Coord q) {
+    if (p_ < 0) {
+      rt::Coord lo = 0;
+      rt::Coord hi = parents_ - 1;
+      while (lo < hi) {
+        const rt::Coord mid = lo + (hi - lo) / 2;
+        if (pos_[mid].hi < q) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
+        }
+      }
+      p_ = lo;
+    }
+    while (pos_[p_].hi < q) ++p_;
+    return p_;
+  }
+
+ private:
+  rt::RegionAccessor<rt::PosRange> pos_;
+  rt::Coord parents_ = 0;
+  rt::Coord p_ = -1;  // -1 until the first call's search
+};
+
+// Calls visit(p, q) for every stored position q of `range` at a level that
+// stores `pos`, in ascending q, with p the parent owning q. A ParentCursor
+// finds the first parent; then each block of positions is marked with the
+// parents whose segments start in it, and the flat loop over the block
+// carries the latest mark forward. (A nested loop over segments mispredicts
+// its exit once per segment, which on short rows costs more than the work.)
+// `visit` is taken by value so its captures become locals of the loop.
+template <typename Visit>
+void walk_positions(const fmt::LevelStorage& level, rt::Rect1 range,
+                    Visit visit) {
+  if (range.empty()) return;
+  constexpr rt::Coord kBlock = 256;
+  const rt::RegionAccessor<rt::PosRange> pos(*level.pos, rt::Access::Read);
+  const rt::Coord parents = level.parent_positions;
+  rt::Coord starts[kBlock];
+  rt::Coord p = ParentCursor(level)(range.lo);
+  for (rt::Coord lo = range.lo; lo <= range.hi; lo += kBlock) {
+    const rt::Coord n = std::min(kBlock, range.hi - lo + 1);
+    std::fill(starts, starts + n, -1);
+    // Ascending parents: an empty segment's mark is overwritten by the
+    // parent that owns its start.
+    for (rt::Coord r = p + 1; r < parents && pos[r].lo < lo + n; ++r) {
+      starts[pos[r].lo - lo] = r;
+    }
+    rt::Coord owner = p;
+    for (rt::Coord k = 0; k < n; ++k) {
+      owner = std::max(owner, starts[k]);
+      visit(owner, lo + k);
+    }
+    p = owner;
+  }
+}
 
 class CoiterEngine {
  public:

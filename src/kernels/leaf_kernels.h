@@ -8,10 +8,11 @@
 // (kernel_select.h) and falls back to co-iteration otherwise.
 //
 // Leaves are executor-agnostic and must be safe to invoke concurrently for
-// different pieces: captured tensors are read-only during a launch, shared
-// precomputed state (the *_nz owner maps) is immutable after construction,
-// work measurement is local to each invocation (see work.h), and output
-// writes either target disjoint subsets or accumulate under a REDUCE
+// different pieces: captured tensors are read-only during a launch, leaves
+// capture no derived state (a *_nz leaf binary-searches `pos` once for its
+// piece's first parent and then walks forward, see ParentCursor in
+// coiter.h), work measurement is local to each invocation (see work.h), and
+// output writes either target disjoint subsets or accumulate under a REDUCE
 // privilege — which the runtime redirects into per-task scratch buffers
 // folded deterministically in color order.
 //
@@ -94,10 +95,29 @@ Leaf make_spttv_nz(Tensor A, Tensor B, Tensor c);
 Leaf make_spmttkrp_row(Tensor A, Tensor B, Tensor C, Tensor D);
 Leaf make_spmttkrp_nz(Tensor A, Tensor B, Tensor C, Tensor D);
 
-// Owner maps for non-zero iteration: owners[l][q] = parent position of
-// position q at level l (Dense levels use division, so their entry stays
-// empty). Shared by the *_nz kernels.
-std::shared_ptr<std::vector<std::vector<rt::Coord>>> build_owner_maps(
-    const Tensor& B, int levels);
+// The 3-tensor _nz leaves' walk: calls visit(i, j, q2, first) for every
+// stored position q2 of `range` at the innermost level of B (as in SpTTV),
+// with (i, j) the coordinates of q2's fiber; `first` marks the first
+// position of each fiber the range reaches.
+template <typename Visit>
+void walk_fibers(const fmt::TensorStorage& B, rt::Rect1 range, Visit visit) {
+  const fmt::LevelStorage& l1 = B.level(1);
+  ParentCursor row_at;
+  rt::RegionAccessor<int32_t> l1crd;
+  if (l1.kind.is_compressed()) {
+    row_at = ParentCursor(l1);
+    l1crd = rt::RegionAccessor<int32_t>(*l1.crd, rt::Access::Read);
+  }
+  rt::Coord fiber = -1, i = 0, j = 0;
+  walk_positions(B.level(2), range, [&](rt::Coord q1, rt::Coord q2) {
+    const bool first = q1 != fiber;
+    if (first) {
+      fiber = q1;
+      i = l1.kind.is_compressed() ? row_at(q1) : q1 / l1.extent;
+      j = l1.kind.is_compressed() ? rt::Coord{l1crd[q1]} : q1 % l1.extent;
+    }
+    visit(i, j, q2, first);
+  });
+}
 
 }  // namespace spdistal::kern

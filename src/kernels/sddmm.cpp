@@ -8,12 +8,14 @@ using rt::Coord;
 namespace {
 
 // Shared inner body: A and B patterns align 1:1, so the output value for
-// B's position q lives at A's position q. `cols` restricts evaluation to
-// stored columns inside the piece's axis-1 tile (full range by default).
+// B's position q lives at A's position q. `walk(visit)` calls visit(i, q)
+// for every stored position q (row i) of the piece, in ascending q. With
+// `col_var`, only stored columns inside the piece's bound for that variable
+// are evaluated (axis-1 tile of a 2-D grid distribution).
+template <typename Walk>
 rt::WorkEstimate sddmm_positions(Tensor& A, Tensor& B, Tensor& C, Tensor& D,
-                                 rt::Rect1 range,
-                                 const std::vector<Coord>& row_of,
-                                 std::optional<rt::Rect1> cols = std::nullopt) {
+                                 std::optional<uint32_t> col_var,
+                                 const PieceBounds& piece, Walk&& walk) {
   WorkCounter work;
   const rt::RegionAccessor<int32_t> crd(*B.storage().level(1).crd,
                                         rt::Access::Read);
@@ -24,12 +26,14 @@ rt::WorkEstimate sddmm_positions(Tensor& A, Tensor& B, Tensor& C, Tensor& D,
                                          rt::Access::Read);
   const rt::RegionAccessor<double> av(*A.storage().vals());
   const Coord K = C.dims()[1];
-  for (Coord q = range.lo; q <= range.hi; ++q) {
-    const Coord i = row_of[static_cast<size_t>(q)];
+  const bool clamp = col_var.has_value();
+  const rt::Rect1 all{0, B.dims()[1] - 1};
+  const rt::Rect1 cols = clamp ? piece.var_bound(*col_var, all) : all;
+  walk([&](Coord i, Coord q) {
     const Coord j = crd[q];
-    if (cols.has_value()) {
+    if (clamp) {
       work.stream(1, 4.0);
-      if (!cols->contains(j)) continue;
+      if (!cols.contains(j)) return;
     }
     double dot = 0;
     for (Coord k = 0; k < K; ++k) {
@@ -38,66 +42,37 @@ rt::WorkEstimate sddmm_positions(Tensor& A, Tensor& B, Tensor& C, Tensor& D,
     av[q] += bv[q] * dot;
     work.fma_dense(K);
     work.fma_sparse(1);
-  }
+  });
   return work.done();
-}
-
-std::shared_ptr<std::vector<Coord>> build_row_of(const Tensor& B) {
-  auto row_of = std::make_shared<std::vector<Coord>>();
-  const auto& Bl = B.storage().level(1);
-  row_of->assign(static_cast<size_t>(Bl.positions), 0);
-  for (Coord i = 0; i < Bl.parent_positions; ++i) {
-    const rt::PosRange seg = (*Bl.pos)[i];
-    for (Coord q = seg.lo; q <= seg.hi; ++q) {
-      (*row_of)[static_cast<size_t>(q)] = i;
-    }
-  }
-  return row_of;
 }
 
 }  // namespace
 
 Leaf make_sddmm_nz(Tensor A, Tensor B, Tensor C, Tensor D,
                    std::optional<uint32_t> col_var) {
-  auto row_of = build_row_of(B);
-  return [A, B, C, D, row_of, col_var](const PieceBounds& piece) mutable {
-    const rt::Rect1 range = piece.dist_pos.value_or(
-        rt::Rect1{0, B.storage().level(1).positions - 1});
-    const std::optional<rt::Rect1> cols =
-        col_var.has_value()
-            ? std::optional<rt::Rect1>(piece.var_bound(
-                  *col_var, rt::Rect1{0, B.dims()[1] - 1}))
-            : std::nullopt;
-    return sddmm_positions(A, B, C, D, range, *row_of, cols);
+  return [A, B, C, D, col_var](const PieceBounds& piece) mutable {
+    const auto& Bl = B.storage().level(1);
+    const rt::Rect1 range =
+        piece.dist_pos.value_or(rt::Rect1{0, Bl.positions - 1});
+    return sddmm_positions(A, B, C, D, col_var, piece, [&](auto&& visit) {
+      walk_positions(Bl, range, visit);
+    });
   };
 }
 
 Leaf make_sddmm_row(Tensor A, Tensor B, Tensor C, Tensor D,
                     std::optional<uint32_t> col_var) {
-  auto row_of = build_row_of(B);
-  return [A, B, C, D, row_of, col_var](const PieceBounds& piece) mutable {
-    const rt::Rect1 rows = piece.dist_coords.value_or(
-        rt::Rect1{0, B.dims()[0] - 1});
-    const std::optional<rt::Rect1> cols =
-        col_var.has_value()
-            ? std::optional<rt::Rect1>(piece.var_bound(
-                  *col_var, rt::Rect1{0, B.dims()[1] - 1}))
-            : std::nullopt;
-    // Convert the row range to this piece's contiguous position range.
-    const rt::RegionAccessor<rt::PosRange> pos(*B.storage().level(1).pos,
-                                               rt::Access::Read);
-    rt::Rect1 range{0, -1};
-    for (Coord i = rows.lo; i <= rows.hi; ++i) {
-      const rt::PosRange seg = pos[i];
-      if (seg.empty()) continue;
-      if (range.empty()) {
-        range = rt::Rect1{seg.lo, seg.hi};
-      } else {
-        range.hi = seg.hi;
+  return [A, B, C, D, col_var](const PieceBounds& piece) mutable {
+    const rt::Rect1 rows =
+        piece.dist_coords.value_or(rt::Rect1{0, B.dims()[0] - 1});
+    return sddmm_positions(A, B, C, D, col_var, piece, [&](auto&& visit) {
+      const rt::RegionAccessor<rt::PosRange> pos(*B.storage().level(1).pos,
+                                                 rt::Access::Read);
+      for (Coord i = rows.lo; i <= rows.hi; ++i) {
+        const rt::PosRange seg = pos[i];
+        for (Coord q = seg.lo; q <= seg.hi; ++q) visit(i, q);
       }
-    }
-    if (range.empty()) return rt::WorkEstimate{};
-    return sddmm_positions(A, B, C, D, range, *row_of, cols);
+    });
   };
 }
 

@@ -7,8 +7,7 @@ using rt::Coord;
 
 Leaf make_spmm_nz(Tensor A, Tensor B, Tensor C,
                   std::optional<uint32_t> col_var) {
-  auto owners = build_owner_maps(B, 2);
-  return [A, B, C, owners, col_var](const PieceBounds& piece) mutable
+  return [A, B, C, col_var](const PieceBounds& piece) mutable
              -> rt::WorkEstimate {
     WorkCounter work;
     const auto& Bl = B.storage().level(1);
@@ -24,15 +23,14 @@ Leaf make_spmm_nz(Tensor A, Tensor B, Tensor C,
                                ? piece.var_bound(*col_var, rt::Rect1{0, J - 1})
                                : rt::Rect1{0, J - 1};
     if (cols.empty()) return work.done();
-    for (Coord q = range.lo; q <= range.hi; ++q) {
-      const Coord i = (*owners)[1][static_cast<size_t>(q)];
+    walk_positions(Bl, range, [&](Coord i, Coord q) {
       const Coord k = crd[q];
       const double v = bv[q];
       for (Coord j = cols.lo; j <= cols.hi; ++j) {
         av(i, j) += v * cv(k, j);
       }
       work.fma_dense_cached(cols.size());
-    }
+    });
     return work.done();
   };
 }

@@ -3,7 +3,6 @@
 
 namespace spdistal::kern {
 
-using fmt::ModeFormat;
 using rt::Coord;
 
 // Matricized tensor-times-Khatri-Rao product:
@@ -57,6 +56,32 @@ Leaf make_spmttkrp_row(Tensor A, Tensor B, Tensor C, Tensor D) {
         }
       }
     }
+    return work.done();
+  };
+}
+
+Leaf make_spmttkrp_nz(Tensor A, Tensor B, Tensor C, Tensor D) {
+  return [A, B, C, D](const PieceBounds& piece) mutable -> rt::WorkEstimate {
+    WorkCounter work;
+    const auto& l2 = B.storage().level(2);
+    const rt::RegionAccessor<int32_t> l2crd(*l2.crd, rt::Access::Read);
+    const rt::RegionAccessor<double> bv(*B.storage().vals(), rt::Access::Read);
+    const rt::RegionAccessor<double, 2> cv(*C.storage().vals(),
+                                           rt::Access::Read);
+    const rt::RegionAccessor<double, 2> dv(*D.storage().vals(),
+                                           rt::Access::Read);
+    const rt::RegionAccessor<double, 2> av(*A.storage().vals());
+    const Coord L = A.dims()[1];
+    const rt::Rect1 range = piece.dist_pos.value_or(
+        rt::Rect1{0, l2.positions - 1});
+    walk_fibers(B.storage(), range, [&](Coord i, Coord j, Coord q2, bool) {
+      const Coord k = l2crd[q2];
+      const double v = bv[q2];
+      for (Coord l = 0; l < L; ++l) {
+        av(i, l) += v * cv(j, l) * dv(k, l);
+      }
+      work.fma_dense_cached(2 * L);
+    });
     return work.done();
   };
 }

@@ -70,37 +70,20 @@ Leaf make_spmv_nz(Tensor a, Tensor B, Tensor c,
     };
   }
   // B is CSR ({Dense, Compressed}) or COO ({Compressed!u, Singleton}). For
-  // CSR, precompute the owning row of every non-zero position once (the
-  // runtime analysis the generated code amortizes across iterations); COO
-  // stores the row per position in the root crd already. Other two-level
-  // layouts (e.g. DCSR, whose root crd is NOT position-aligned with the
-  // leaf level) must not reach this kernel.
+  // CSR, the piece walks the row segments its positions fall in; COO stores
+  // the row per position in the root crd already. Other two-level layouts
+  // (e.g. DCSR, whose root crd is NOT position-aligned with the leaf level)
+  // must not reach this kernel.
   const bool coo = B.storage().level(0).kind.has_crd();
   SPD_ASSERT(B.storage().level(1).kind.is_singleton() ||
                  B.storage().level(0).kind.is_dense(),
              "make_spmv_nz requires CSR or COO storage, got "
                  << B.storage().str());
-  auto row_of = std::make_shared<std::vector<Coord>>();
-  if (!coo) {
-    const auto& Bl = B.storage().level(1);
-    row_of->assign(static_cast<size_t>(Bl.positions), 0);
-    for (Coord i = 0; i < Bl.parent_positions; ++i) {
-      const rt::PosRange seg = (*Bl.pos)[i];
-      for (Coord q = seg.lo; q <= seg.hi; ++q) {
-        (*row_of)[static_cast<size_t>(q)] = i;
-      }
-    }
-  }
-  return [a, B, c, row_of, coo, col_var](const PieceBounds& piece) mutable
+  return [a, B, c, coo, col_var](const PieceBounds& piece) mutable
              -> rt::WorkEstimate {
     WorkCounter work;
     const auto& Bl = B.storage().level(1);
     const rt::RegionAccessor<int32_t> crd(*Bl.crd, rt::Access::Read);
-    rt::RegionAccessor<int32_t> row_crd;
-    if (coo) {
-      row_crd = rt::RegionAccessor<int32_t>(*B.storage().level(0).crd,
-                                            rt::Access::Read);
-    }
     const rt::RegionAccessor<double> bv(*B.storage().vals(), rt::Access::Read);
     const rt::RegionAccessor<double> cv(*c.storage().vals(), rt::Access::Read);
     const rt::RegionAccessor<double> av(*a.storage().vals());
@@ -114,13 +97,27 @@ Leaf make_spmv_nz(Tensor a, Tensor B, Tensor c,
             : rt::Rect1{0, B.dims()[1] - 1};
     const bool clamp = col_var.has_value();
     int64_t computed = 0;
-    for (Coord q = range.lo; q <= range.hi; ++q) {
-      const Coord j = crd[q];
-      if (clamp && (j < cols.lo || j > cols.hi)) continue;
-      const Coord i = coo ? Coord{row_crd[q]}
-                          : (*row_of)[static_cast<size_t>(q)];
-      av[i] += bv[q] * cv[j];
-      ++computed;
+    // `with_clamp` is a compile-time flag, so the unclamped scan carries no
+    // column test.
+    auto scan = [&](auto with_clamp) {
+      auto visit = [&](Coord i, Coord q) {
+        const Coord j = crd[q];
+        if (with_clamp && (j < cols.lo || j > cols.hi)) return;
+        av[i] += bv[q] * cv[j];
+        ++computed;
+      };
+      if (coo) {
+        const rt::RegionAccessor<int32_t> row_crd(*B.storage().level(0).crd,
+                                                  rt::Access::Read);
+        for (Coord q = range.lo; q <= range.hi; ++q) visit(row_crd[q], q);
+      } else {
+        walk_positions(Bl, range, visit);
+      }
+    };
+    if (clamp) {
+      scan(std::true_type{});
+    } else {
+      scan(std::false_type{});
     }
     work.fma_sparse(computed);
     work.stream(computed, 12.0);  // row lookup + output scatter

@@ -1,30 +1,9 @@
-#include "kernels/coiter.h"
 #include "kernels/leaf_kernels.h"
 #include "kernels/work.h"
 
 namespace spdistal::kern {
 
-using fmt::ModeFormat;
 using rt::Coord;
-
-std::shared_ptr<std::vector<std::vector<Coord>>> build_owner_maps(
-    const Tensor& B, int levels) {
-  auto owners = std::make_shared<std::vector<std::vector<Coord>>>(
-      static_cast<size_t>(levels));
-  for (int l = 0; l < levels; ++l) {
-    const auto& level = B.storage().level(l);
-    if (!level.kind.has_pos()) continue;
-    auto& o = (*owners)[static_cast<size_t>(l)];
-    o.assign(static_cast<size_t>(level.positions), 0);
-    for (Coord p = 0; p < level.parent_positions; ++p) {
-      const rt::PosRange seg = (*level.pos)[p];
-      for (Coord q = seg.lo; q <= seg.hi; ++q) {
-        o[static_cast<size_t>(q)] = p;
-      }
-    }
-  }
-  return owners;
-}
 
 // Sparse tensor-times-vector over {Dense, Compressed|Dense, Compressed}
 // 3-tensors: A(i,j) = B(i,j,k) * c(k). The output's (i,j) pattern is the set
@@ -86,78 +65,31 @@ Leaf make_spttv_row(Tensor A, Tensor B, Tensor c) {
 }
 
 Leaf make_spttv_nz(Tensor A, Tensor B, Tensor c) {
-  auto owners = build_owner_maps(B, 3);
-  return [A, B, c, owners](const PieceBounds& piece) mutable
-             -> rt::WorkEstimate {
+  return [A, B, c](const PieceBounds& piece) mutable -> rt::WorkEstimate {
     WorkCounter work;
-    const auto& l1 = B.storage().level(1);
     const auto& l2 = B.storage().level(2);
+    const rt::Rect1 range = piece.dist_pos.value_or(
+        rt::Rect1{0, l2.positions - 1});
     const rt::RegionAccessor<int32_t> l2crd(*l2.crd, rt::Access::Read);
     const rt::RegionAccessor<double> bv(*B.storage().vals(), rt::Access::Read);
     const rt::RegionAccessor<double> cv(*c.storage().vals(), rt::Access::Read);
+    const auto& al = A.storage().level(1);
+    const rt::RegionAccessor<int32_t> acrd(*al.crd, rt::Access::Read);
     const rt::RegionAccessor<double> avals(*A.storage().vals());
-    const rt::Rect1 range = piece.dist_pos.value_or(
-        rt::Rect1{0, l2.positions - 1});
-    // Cache the output position across consecutive values of one fiber.
-    Coord cur_fiber = -1;
-    Coord cur_out = -1;
-    for (Coord q2 = range.lo; q2 <= range.hi; ++q2) {
-      const Coord q1 = (*owners)[2][static_cast<size_t>(q2)];
-      if (q1 != cur_fiber) {
-        cur_fiber = q1;
-        Coord i, j;
-        if (l1.kind.is_compressed()) {
-          i = (*owners)[1][static_cast<size_t>(q1)];
-          j = (*l1.crd)[q1];
-        } else {
-          i = q1 / l1.extent;
-          j = q1 % l1.extent;
-        }
-        cur_out = locate_position(A.storage(), {i, j});
-        SPD_ASSERT(cur_out >= 0, "SpTTV nz: fiber missing in output pattern");
+    // The output's pattern is B's non-empty fibers in order: locate the
+    // piece's first fiber once, then advance one output position per fiber.
+    Coord out = -1;
+    auto visit = [&](Coord i, Coord j, Coord q2, bool first) {
+      if (first) {
+        out = out < 0 ? locate_position(A.storage(), {i, j}) : out + 1;
+        SPD_ASSERT(out >= 0 && out < al.positions && acrd[out] == j,
+                   "SpTTV nz: assembled pattern disagrees with fiber walk");
         work.segment();
       }
-      avals[cur_out] += bv[q2] * cv[l2crd[q2]];
+      avals[out] += bv[q2] * cv[l2crd[q2]];
       work.fma_sparse(1);
-    }
-    return work.done();
-  };
-}
-
-Leaf make_spmttkrp_nz(Tensor A, Tensor B, Tensor C, Tensor D) {
-  auto owners = build_owner_maps(B, 3);
-  return [A, B, C, D, owners](const PieceBounds& piece) mutable
-             -> rt::WorkEstimate {
-    WorkCounter work;
-    const auto& l1 = B.storage().level(1);
-    const auto& l2 = B.storage().level(2);
-    const rt::RegionAccessor<int32_t> l2crd(*l2.crd, rt::Access::Read);
-    const rt::RegionAccessor<double> bv(*B.storage().vals(), rt::Access::Read);
-    const rt::RegionAccessor<double, 2> cv(*C.storage().vals(),
-                                           rt::Access::Read);
-    const rt::RegionAccessor<double, 2> dv(*D.storage().vals(),
-                                           rt::Access::Read);
-    const rt::RegionAccessor<double, 2> av(*A.storage().vals());
-    const Coord L = A.dims()[1];
-    const rt::Rect1 range = piece.dist_pos.value_or(
-        rt::Rect1{0, l2.positions - 1});
-    for (Coord q2 = range.lo; q2 <= range.hi; ++q2) {
-      const Coord q1 = (*owners)[2][static_cast<size_t>(q2)];
-      Coord i, j;
-      if (l1.kind.is_compressed()) {
-        i = (*owners)[1][static_cast<size_t>(q1)];
-        j = (*l1.crd)[q1];
-      } else {
-        i = q1 / l1.extent;
-        j = q1 % l1.extent;
-      }
-      const Coord k = l2crd[q2];
-      const double v = bv[q2];
-      for (Coord l = 0; l < L; ++l) {
-        av(i, l) += v * cv(j, l) * dv(k, l);
-      }
-      work.fma_dense_cached(2 * L);
-    }
+    };
+    walk_fibers(B.storage(), range, visit);
     return work.done();
   };
 }

@@ -45,14 +45,11 @@ exec::AccessMode to_mode(Privilege p) {
 
 }  // namespace
 
-IndexSubset TaskContext::subset(size_t req) const {
-  SPDISTAL_DCHECK(req < launch_.reqs.size(),
-                  "req index " << req << " out of range ("
-                              << launch_.reqs.size() << " requirements)");
-  if (subsets_ != nullptr) return (*subsets_)[req];
-  const RegionReq& r = launch_.reqs[req];
-  if (r.partition == nullptr) return r.region->space().as_subset();
-  return r.partition->subset(color_);
+const IndexSubset& TaskContext::subset(size_t req) const {
+  SPDISTAL_DCHECK(req < subsets_.size(),
+                  "req index " << req << " out of range (" << subsets_.size()
+                               << " requirements)");
+  return subsets_[req];
 }
 
 // The memoized launch analysis: everything Runtime::execute derives from
@@ -707,9 +704,8 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
                 rec->scratch[r][static_cast<size_t>(p)].get()});
           }
           RegionBase::ScopedRedirects guard(rds.data(), rds.size());
-          TaskContext ctx(*this, rec->launch, p,
-                          plan.procs[static_cast<size_t>(p)],
-                          &plan.subsets[static_cast<size_t>(p)]);
+          TaskContext ctx(p, plan.procs[static_cast<size_t>(p)],
+                          plan.subsets[static_cast<size_t>(p)]);
           // Leaf wall-clock measurement feeds the measured trace track and
           // the calibration store. The timer brackets only the body (scratch
           // allocation and verify post-checks are runtime overhead, not

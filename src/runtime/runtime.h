@@ -59,28 +59,23 @@ struct RegionReq {
   Privilege priv = Privilege::RO;
 };
 
-class Runtime;
-struct IndexLaunch;
-
 // Handed to each point task body.
 class TaskContext {
  public:
-  TaskContext(const Runtime& rt, const IndexLaunch& launch, int color,
-              Proc proc, const std::vector<IndexSubset>* subsets = nullptr)
-      : rt_(rt), launch_(launch), color_(color), proc_(proc),
-        subsets_(subsets) {}
+  // `subsets` is the point's row of the launch plan: one subset per
+  // requirement, captured at submission.
+  TaskContext(int color, Proc proc, const std::vector<IndexSubset>& subsets)
+      : color_(color), proc_(proc), subsets_(subsets) {}
 
   int color() const { return color_; }
   const Proc& proc() const { return proc_; }
   // The subset of requirement `req` this point accesses.
-  IndexSubset subset(size_t req) const;
+  const IndexSubset& subset(size_t req) const;
 
  private:
-  const Runtime& rt_;
-  const IndexLaunch& launch_;
   int color_;
   Proc proc_;
-  const std::vector<IndexSubset>* subsets_;  // captured at submission
+  const std::vector<IndexSubset>& subsets_;
 };
 
 struct IndexLaunch {

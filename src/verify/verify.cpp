@@ -132,8 +132,9 @@ std::string format_report(const std::vector<Violation>& vs) {
   std::ostringstream os;
   for (size_t i = 0; i < vs.size(); ++i) {
     if (i) os << "\n";
-    os << "  [" << severity_name(vs[i].severity) << "] " << vs[i].analysis
-       << ": " << vs[i].message;
+    os << "  [" << severity_name(vs[i].severity) << "] " << vs[i].analysis;
+    if (!vs[i].rule.empty()) os << "(" << vs[i].rule << ")";
+    os << ": " << vs[i].message;
   }
   return os.str();
 }

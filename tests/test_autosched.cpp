@@ -107,7 +107,7 @@ TEST(Enumerate, OnlyEmitsCompilableSchedules) {
   for (const rt::Machine& m : {cpu_machine(4), gpu_machine(1, 4)}) {
     for (auto* build : {&build_spmv, &build_sddmm, &build_spmttkrp}) {
       BuiltStmt b = build(1);
-      const auto cands = enumerate_candidates(*b.stmt, m, Options{});
+      const auto cands = enumerate_candidates(*b.stmt, m);
       ASSERT_FALSE(cands.empty());
       for (const auto& c : cands) {
         EXPECT_NO_THROW(comp::CompiledKernel::compile(*b.stmt, c.schedule, m))
@@ -125,7 +125,7 @@ TEST(Enumerate, OnlyEmitsCompilableSchedules) {
 
 TEST(Enumerate, CoversUniverseAndNonZeroFamilies) {
   BuiltStmt b = build_spmv(2);
-  const auto cands = enumerate_candidates(*b.stmt, cpu_machine(4), Options{});
+  const auto cands = enumerate_candidates(*b.stmt, cpu_machine(4));
   bool universe = false, nonzero = false;
   for (const auto& c : cands) {
     (c.recipe.position_space ? nonzero : universe) = true;
@@ -142,7 +142,7 @@ TEST(EnumerateGrid3, EmitsRank3FactorizationsOnLargeMachines) {
   // 8 processors factor as 2x2x2: statements with >= 3 index variables get
   // rank-3 machine-grid recipes (lowering already handles them).
   BuiltStmt b = build_sddmm(5);
-  const auto cands = enumerate_candidates(*b.stmt, cpu_machine(8), Options{});
+  const auto cands = enumerate_candidates(*b.stmt, cpu_machine(8));
   bool rank3 = false;
   for (const auto& c : cands) {
     if (c.recipe.pieces_z > 1) {
@@ -156,7 +156,7 @@ TEST(EnumerateGrid3, EmitsRank3FactorizationsOnLargeMachines) {
   // Statements with only two variables never get a z axis.
   BuiltStmt spmv = build_spmv(6);
   for (const auto& c :
-       enumerate_candidates(*spmv.stmt, cpu_machine(8), Options{})) {
+       enumerate_candidates(*spmv.stmt, cpu_machine(8))) {
     EXPECT_EQ(c.recipe.pieces_z, 1);
   }
 }
@@ -368,7 +368,7 @@ TEST(EnumerateGrid, MultiAxisRecipeBeatsBest1dOnSkewedSpmm) {
   Options opt;
   opt.use_cache = false;
   opt.sim_top_k = 0;  // simulate everything: compare true simulated times
-  const auto cands = enumerate_candidates(*b.stmt, m, opt);
+  const auto cands = enumerate_candidates(*b.stmt, m);
 
   bool any_grid = false, any_nz_grid = false;
   for (const auto& c : cands) {
@@ -387,7 +387,7 @@ TEST(EnumerateGrid, MultiAxisRecipeBeatsBest1dOnSkewedSpmm) {
   double best_1d = std::numeric_limits<double>::infinity();
   for (const auto& c : cands) {
     if (c.recipe.position_space) continue;
-    const double t = simulate_candidate(proxy, c.schedule, m, opt);
+    const double t = simulate_candidate(proxy, c.schedule, m);
     auto& best = c.recipe.pieces_y > 1 ? best_grid : best_1d;
     best = std::min(best, t);
   }

@@ -40,6 +40,43 @@ std::vector<MatrixCase> matrix_cases() {
   };
 }
 
+// Cuts the stored positions of a position-split level into pieces that
+// stress a leaf's parent walk: one starts mid-segment, one starts right
+// after an empty parent segment (each when the structure has one), and one
+// is empty. Together they cover every position exactly once.
+std::vector<rt::Rect1> stress_pieces(const fmt::LevelStorage& level) {
+  const rt::Region<rt::PosRange>& pos = *level.pos;
+  Coord mid_segment = 0;
+  Coord after_empty = 0;
+  for (Coord p = 0; p < level.parent_positions; ++p) {
+    const rt::PosRange seg = pos[p];
+    if (mid_segment == 0 && seg.size() >= 2) mid_segment = seg.lo + 1;
+    if (after_empty == 0 && p > 0 && pos[p - 1].empty() && !seg.empty()) {
+      after_empty = seg.lo;
+    }
+  }
+  std::vector<rt::Rect1> pieces;
+  Coord lo = 0;
+  for (Coord cut : {std::min(mid_segment, after_empty),
+                    std::max(mid_segment, after_empty)}) {
+    if (cut <= lo) continue;
+    pieces.push_back(rt::Rect1{lo, cut - 1});
+    lo = cut;
+  }
+  pieces.push_back(rt::Rect1{lo, level.positions - 1});
+  pieces.push_back(rt::Rect1{level.positions, level.positions - 1});
+  return pieces;
+}
+
+// Runs `leaf` once per stress piece of `level`.
+void run_position_pieces(Leaf& leaf, const fmt::LevelStorage& level) {
+  for (const rt::Rect1& r : stress_pieces(level)) {
+    PieceBounds piece;
+    piece.dist_pos = r;
+    leaf(piece);
+  }
+}
+
 class SpmvKernels : public ::testing::TestWithParam<int> {};
 
 TEST_P(SpmvKernels, RowAndNzMatchReference) {
@@ -72,12 +109,7 @@ TEST_P(SpmvKernels, RowAndNzMatchReference) {
   {
     Leaf leaf = make_spmv_nz(a, B, c);
     a.zero();
-    const Coord nnz = B.storage().level(1).positions;
-    PieceBounds p1, p2;
-    p1.dist_pos = rt::Rect1{0, nnz / 3};
-    p2.dist_pos = rt::Rect1{nnz / 3 + 1, nnz - 1};
-    leaf(p1);
-    if (!p2.dist_pos->empty()) leaf(p2);
+    run_position_pieces(leaf, B.storage().level(1));
     EXPECT_LE(ref::max_abs_diff(a, expect), 1e-12) << mc.name << " nz";
   }
 }
@@ -101,10 +133,19 @@ TEST_P(SpmmKernel, MatchesReference) {
     return 0.5 + static_cast<double>((x[0] * 3 + x[1]) % 5);
   });
   Statement& stmt = (A(i, j) = B(i, k) * C(k, j));
-  Leaf leaf = make_spmm_row(A, B, C);
-  A.zero();
-  leaf(PieceBounds{});
-  EXPECT_LE(ref::max_abs_diff(A, ref::eval(stmt)), 1e-10) << mc.name;
+  const ref::DenseTensor expect = ref::eval(stmt);
+  {
+    Leaf leaf = make_spmm_row(A, B, C);
+    A.zero();
+    leaf(PieceBounds{});
+    EXPECT_LE(ref::max_abs_diff(A, expect), 1e-10) << mc.name << " row";
+  }
+  {
+    Leaf leaf = make_spmm_nz(A, B, C);
+    A.zero();
+    run_position_pieces(leaf, B.storage().level(1));
+    EXPECT_LE(ref::max_abs_diff(A, expect), 1e-10) << mc.name << " nz";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Structures, SpmmKernel, ::testing::Range(0, 6));
@@ -166,12 +207,7 @@ TEST_P(SddmmKernel, RowAndNzMatchReference) {
   {
     Leaf leaf = make_sddmm_nz(A, B, C, D);
     A.zero();
-    const Coord nnz = B.storage().level(1).positions;
-    PieceBounds p1, p2;
-    p1.dist_pos = rt::Rect1{0, nnz / 2};
-    p2.dist_pos = rt::Rect1{nnz / 2 + 1, nnz - 1};
-    leaf(p1);
-    if (!p2.dist_pos->empty()) leaf(p2);
+    run_position_pieces(leaf, B.storage().level(1));
     EXPECT_LE(ref::max_abs_diff(A, expect), 1e-10) << mc.name << " nz";
   }
 }
@@ -211,15 +247,24 @@ TEST_P(SpttvKernel, MatchesReference) {
   });
   Statement& stmt = (A(i, j) = B(i, j, k) * c(k));
   assemble_output(stmt);
-  Leaf leaf = make_spttv_row(A, B, c);
-  A.zero();
-  // Two row pieces.
-  PieceBounds p1, p2;
-  p1.dist_coords = rt::Rect1{0, dims[0] / 2};
-  p2.dist_coords = rt::Rect1{dims[0] / 2 + 1, dims[0] - 1};
-  leaf(p1);
-  if (!p2.dist_coords->empty()) leaf(p2);
-  EXPECT_LE(ref::max_abs_diff(A, ref::eval(stmt)), 1e-10) << tc.name;
+  const ref::DenseTensor expect = ref::eval(stmt);
+  {
+    Leaf leaf = make_spttv_row(A, B, c);
+    A.zero();
+    // Two row pieces.
+    PieceBounds p1, p2;
+    p1.dist_coords = rt::Rect1{0, dims[0] / 2};
+    p2.dist_coords = rt::Rect1{dims[0] / 2 + 1, dims[0] - 1};
+    leaf(p1);
+    if (!p2.dist_coords->empty()) leaf(p2);
+    EXPECT_LE(ref::max_abs_diff(A, expect), 1e-10) << tc.name << " row";
+  }
+  {
+    Leaf leaf = make_spttv_nz(A, B, c);
+    A.zero();
+    run_position_pieces(leaf, B.storage().level(2));
+    EXPECT_LE(ref::max_abs_diff(A, expect), 1e-10) << tc.name << " nz";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Structures, SpttvKernel, ::testing::Range(0, 3));
@@ -244,10 +289,19 @@ TEST_P(SpmttkrpKernel, MatchesReference) {
     return 1.0 - 0.125 * static_cast<double>((2 * x[0] + x[1]) % 5);
   });
   Statement& stmt = (A(i, l) = B(i, j, k) * C(j, l) * D(k, l));
-  Leaf leaf = make_spmttkrp_row(A, B, C, D);
-  A.zero();
-  leaf(PieceBounds{});
-  EXPECT_LE(ref::max_abs_diff(A, ref::eval(stmt)), 1e-9) << tc.name;
+  const ref::DenseTensor expect = ref::eval(stmt);
+  {
+    Leaf leaf = make_spmttkrp_row(A, B, C, D);
+    A.zero();
+    leaf(PieceBounds{});
+    EXPECT_LE(ref::max_abs_diff(A, expect), 1e-9) << tc.name << " row";
+  }
+  {
+    Leaf leaf = make_spmttkrp_nz(A, B, C, D);
+    A.zero();
+    run_position_pieces(leaf, B.storage().level(2));
+    EXPECT_LE(ref::max_abs_diff(A, expect), 1e-9) << tc.name << " nz";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Structures, SpmttkrpKernel, ::testing::Range(0, 3));

@@ -450,16 +450,6 @@ TEST(PlanStore, DisabledStoreRestoresSearchedSchedules) {
   EXPECT_FALSE(fresh.from_cache);
   EXPECT_EQ(fresh.recipe, base.recipe);
   EXPECT_EQ(fresh.schedule.str(), base.schedule.str());
-
-  // The per-search override mirrors the global switch.
-  set_plan_store(true);
-  PlanCache::global().clear();
-  PlanCache::global().insert_stored({sp});
-  Options no_store;
-  no_store.use_store = false;
-  const Result opted_out = autoschedule_search(*a.stmt, m, no_store);
-  EXPECT_FALSE(opted_out.from_cache);
-  EXPECT_EQ(opted_out.recipe, base.recipe);
 }
 
 // --- fuzzy re-pricing ---------------------------------------------------------

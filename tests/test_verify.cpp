@@ -127,12 +127,16 @@ TEST(VerifyLint, RejectsDividePosThroughBlockedLevel) {
   std::vector<verify::Violation> found = verify::lint_statement(stmt, s, m);
   ASSERT_EQ(found.size(), 1u);
   EXPECT_EQ(found[0].rule, "divide-pos-blocked");
-  // The linter, not the lowering, rejects it: the message carries its tag.
+  // The linter, not the lowering, rejects it: the message carries its tag
+  // and names the rule id Schedule::suppress_lint takes.
   try {
     comp::CompiledKernel::compile(stmt, s, m);
     FAIL() << "lint accepted divide_pos() through a Blocked level";
   } catch (const ScheduleError& e) {
     EXPECT_NE(std::string(e.what()).find("verify(lint)"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("lint(divide-pos-blocked)"),
+              std::string::npos)
         << e.what();
     EXPECT_NE(std::string(e.what()).find("BlockedDense[4]"),
               std::string::npos)
