@@ -131,7 +131,10 @@ std::string Format::str() const {
                               modes_[static_cast<size_t>(l)].str().c_str(),
                               dim_of_level(l) + 1));
   }
-  return "{" + join(parts, ", ") + "}";
+  std::string out = "{";
+  out += join(parts, ", ");
+  out += '}';
+  return out;
 }
 
 Format dense_vector() { return Format({ModeFormat::Dense()}); }

@@ -11,6 +11,8 @@
 // Common block shapes get compile-time micro-kernels (2x2, 4x4, 8x8, 4x8);
 // anything else runs the runtime-extent fallback with the same structure.
 #include <algorithm>
+#include <array>
+#include <type_traits>
 #include <vector>
 
 #include "kernels/leaf_kernels.h"
@@ -25,95 +27,61 @@ namespace {
 // a(i) = B(i,j) * c(j), B = bcsr(BR,BC). Row-coordinate pieces: every block
 // row overlapping the piece is processed whole (accumulators for all BR
 // lanes), then only in-piece rows scatter — wasted lanes beat a branchy
-// tile, and out-of-piece rows are simply not written.
-template <int BR, int BC>
-rt::WorkEstimate spmv_bcsr_tile(const Tensor& a, const Tensor& B,
-                                const Tensor& c, const PieceBounds& piece) {
+// tile, and out-of-piece rows are simply not written. BR == 0 reads the
+// block extents at run time and keeps its accumulators on the heap.
+template <bool L, int BR, int BC>
+rt::WorkEstimate spmv_bcsr(const Tensor& a, const Tensor& B, const Tensor& c,
+                           const PieceBounds& piece) {
   WorkCounter work;
+  const Coord R = BR > 0 ? BR : B.format().mode(0).block();
+  const Coord Cb = BR > 0 ? BC : B.format().mode(1).block();
   const auto& blk = B.storage().level(1);
-  const rt::RegionAccessor<rt::PosRange> pos(*blk.pos, rt::Access::Read);
-  const rt::RegionAccessor<int32_t> crd(*blk.crd, rt::Access::Read);
-  const rt::RegionAccessor<double> bv(*B.storage().vals(), rt::Access::Read);
-  const rt::RegionAccessor<double> cv(*c.storage().vals(), rt::Access::Read);
-  const rt::RegionAccessor<double> av(*a.storage().vals());
+  const rt::RegionAccessor<rt::PosRange, 1, L> pos(*blk.pos, rt::Access::Read);
+  const rt::RegionAccessor<int32_t, 1, L> crd(*blk.crd, rt::Access::Read);
+  const rt::RegionAccessor<double, 1, L> bv(*B.storage().vals(),
+                                            rt::Access::Read);
+  const rt::RegionAccessor<double, 1, L> cv(*c.storage().vals(),
+                                            rt::Access::Read);
+  const rt::RegionAccessor<double, 1, L> av(*a.storage().vals());
   const Coord M = B.dims()[0];
   const Coord N = B.dims()[1];
   const rt::Rect1 rows = piece.dist_coords.value_or(rt::Rect1{0, M - 1});
   if (rows.empty()) return work.done();
-  for (Coord bi = rows.lo / BR; bi <= rows.hi / BR; ++bi) {
-    const rt::PosRange seg = pos[bi];
-    work.segment();
-    double acc[BR] = {};
-    for (Coord q = seg.lo; q <= seg.hi; ++q) {
-      const Coord j0 = Coord{crd[q]} * BC;
-      const Coord base = q * BR * BC;
-      if (j0 + BC <= N) {
-        for (int r = 0; r < BR; ++r) {
-          for (int cc = 0; cc < BC; ++cc) {
-            acc[r] += bv[base + r * BC + cc] * cv[j0 + cc];
-          }
-        }
-      } else {
-        const int jcnt = static_cast<int>(N - j0);
-        for (int r = 0; r < BR; ++r) {
-          for (int cc = 0; cc < jcnt; ++cc) {
-            acc[r] += bv[base + r * BC + cc] * cv[j0 + cc];
-          }
-        }
-      }
-      work.flops += 2.0 * BR * BC;
-      work.bytes += 8.0 * BR * BC + 4.0 + 8.0 * BC;
-      work.nnz += BR * BC;
-    }
-    const Coord r_lo = std::max<Coord>(rows.lo - bi * BR, 0);
-    const Coord r_hi =
-        std::min<Coord>(std::min<Coord>(rows.hi, M - 1) - bi * BR, BR - 1);
-    for (Coord r = r_lo; r <= r_hi; ++r) av[bi * BR + r] += acc[r];
-    work.stream(r_hi - r_lo + 1);
-  }
-  return work.done();
-}
-
-// Runtime-extent fallback, same structure with heap accumulators.
-rt::WorkEstimate spmv_bcsr_any(const Tensor& a, const Tensor& B,
-                               const Tensor& c, const PieceBounds& piece) {
-  WorkCounter work;
-  const Coord BR = B.format().mode(0).block();
-  const Coord BC = B.format().mode(1).block();
-  const auto& blk = B.storage().level(1);
-  const rt::RegionAccessor<rt::PosRange> pos(*blk.pos, rt::Access::Read);
-  const rt::RegionAccessor<int32_t> crd(*blk.crd, rt::Access::Read);
-  const rt::RegionAccessor<double> bv(*B.storage().vals(), rt::Access::Read);
-  const rt::RegionAccessor<double> cv(*c.storage().vals(), rt::Access::Read);
-  const rt::RegionAccessor<double> av(*a.storage().vals());
-  const Coord M = B.dims()[0];
-  const Coord N = B.dims()[1];
-  const rt::Rect1 rows = piece.dist_coords.value_or(rt::Rect1{0, M - 1});
-  if (rows.empty()) return work.done();
-  std::vector<double> acc(static_cast<size_t>(BR));
-  for (Coord bi = rows.lo / BR; bi <= rows.hi / BR; ++bi) {
+  std::conditional_t<(BR > 0), std::array<double, (BR > 0 ? BR : 1)>,
+                     std::vector<double>>
+      acc{};
+  if constexpr (BR == 0) acc.resize(static_cast<size_t>(R));
+  for (Coord bi = rows.lo / R; bi <= rows.hi / R; ++bi) {
     const rt::PosRange seg = pos[bi];
     work.segment();
     std::fill(acc.begin(), acc.end(), 0.0);
     for (Coord q = seg.lo; q <= seg.hi; ++q) {
-      const Coord j0 = Coord{crd[q]} * BC;
-      const Coord base = q * BR * BC;
-      const Coord jcnt = std::min<Coord>(BC, N - j0);
-      for (Coord r = 0; r < BR; ++r) {
-        for (Coord cc = 0; cc < jcnt; ++cc) {
-          acc[static_cast<size_t>(r)] += bv[base + r * BC + cc] * cv[j0 + cc];
+      const Coord j0 = Coord{crd[q]} * Cb;
+      const Coord base = q * R * Cb;
+      // A constant lane count (the whole block) unrolls the tile; only a
+      // block column past the matrix edge takes the shorter one.
+      auto lanes = [&](Coord jcnt) {
+        for (Coord r = 0; r < R; ++r) {
+          for (Coord cc = 0; cc < jcnt; ++cc) {
+            acc[static_cast<size_t>(r)] += bv[base + r * Cb + cc] * cv[j0 + cc];
+          }
         }
+      };
+      if (j0 + Cb <= N) {
+        lanes(Cb);
+      } else {
+        lanes(N - j0);
       }
-      work.flops += 2.0 * static_cast<double>(BR * BC);
-      work.bytes += 8.0 * static_cast<double>(BR * BC) + 4.0 +
-                    8.0 * static_cast<double>(BC);
-      work.nnz += static_cast<double>(BR * BC);
+      work.flops += 2.0 * static_cast<double>(R * Cb);
+      work.bytes += 8.0 * static_cast<double>(R * Cb) + 4.0 +
+                    8.0 * static_cast<double>(Cb);
+      work.nnz += static_cast<double>(R * Cb);
     }
-    const Coord r_lo = std::max<Coord>(rows.lo - bi * BR, 0);
+    const Coord r_lo = std::max<Coord>(rows.lo - bi * R, 0);
     const Coord r_hi =
-        std::min<Coord>(std::min<Coord>(rows.hi, M - 1) - bi * BR, BR - 1);
+        std::min<Coord>(std::min<Coord>(rows.hi, M - 1) - bi * R, R - 1);
     for (Coord r = r_lo; r <= r_hi; ++r) {
-      av[bi * BR + r] += acc[static_cast<size_t>(r)];
+      av[bi * R + r] += acc[static_cast<size_t>(r)];
     }
     work.stream(r_hi - r_lo + 1);
   }
@@ -121,21 +89,28 @@ rt::WorkEstimate spmv_bcsr_any(const Tensor& a, const Tensor& B,
 }
 
 // A(i,j) = B(i,k) * C(k,j), B = bcsr(BR,BC) over (i,k), A/C dense. For each
-// stored block the BR*BC values load once into a register tile, then every
-// output column accumulates a BC-deep unrolled dot against C's rows. `cols`
-// clamps j for the axis-1 tile of a 2-D grid distribution.
-template <int BR, int BC>
-rt::WorkEstimate spmm_bcsr_tile(const Tensor& A, const Tensor& B,
-                                const Tensor& C, const PieceBounds& piece,
-                                std::optional<uint32_t> col_var) {
+// stored block and in-piece row r, the row's BC lanes load into registers
+// and the j loop updates A's row r from C's rows k0..k0+BC-1, all walked
+// contiguously (a j-outer dot per lane would stride C by J). Each output
+// entry still sums its block's lanes in ck order before adding into A.
+// Block columns that straddle the matrix edge and runtime extents
+// (BR == 0) run one dot per (row, j) over a runtime lane count instead.
+// `cols` clamps j for the axis-1 tile of a 2-D grid distribution.
+template <bool L, int BR, int BC>
+rt::WorkEstimate spmm_bcsr(const Tensor& A, const Tensor& B, const Tensor& C,
+                           const PieceBounds& piece,
+                           std::optional<uint32_t> col_var) {
   WorkCounter work;
+  const Coord R = BR > 0 ? BR : B.format().mode(0).block();
+  const Coord Cb = BR > 0 ? BC : B.format().mode(1).block();
   const auto& blk = B.storage().level(1);
-  const rt::RegionAccessor<rt::PosRange> pos(*blk.pos, rt::Access::Read);
-  const rt::RegionAccessor<int32_t> crd(*blk.crd, rt::Access::Read);
-  const rt::RegionAccessor<double> bv(*B.storage().vals(), rt::Access::Read);
-  const rt::RegionAccessor<double, 2> cv(*C.storage().vals(),
-                                         rt::Access::Read);
-  const rt::RegionAccessor<double, 2> av(*A.storage().vals());
+  const rt::RegionAccessor<rt::PosRange, 1, L> pos(*blk.pos, rt::Access::Read);
+  const rt::RegionAccessor<int32_t, 1, L> crd(*blk.crd, rt::Access::Read);
+  const rt::RegionAccessor<double, 1, L> bv(*B.storage().vals(),
+                                            rt::Access::Read);
+  const rt::RegionAccessor<double, 2, L> cv(*C.storage().vals(),
+                                            rt::Access::Read);
+  const rt::RegionAccessor<double, 2, L> av(*A.storage().vals());
   const Coord M = B.dims()[0];
   const Coord K = B.dims()[1];
   const Coord J = A.dims()[1];
@@ -144,98 +119,55 @@ rt::WorkEstimate spmm_bcsr_tile(const Tensor& A, const Tensor& B,
                              ? piece.var_bound(*col_var, rt::Rect1{0, J - 1})
                              : rt::Rect1{0, J - 1};
   if (rows.empty() || cols.empty()) return work.done();
-  for (Coord bi = rows.lo / BR; bi <= rows.hi / BR; ++bi) {
+  for (Coord bi = rows.lo / R; bi <= rows.hi / R; ++bi) {
     const rt::PosRange seg = pos[bi];
     work.segment();
-    const Coord r_lo = std::max<Coord>(rows.lo - bi * BR, 0);
+    const Coord r_lo = std::max<Coord>(rows.lo - bi * R, 0);
     const Coord r_hi =
-        std::min<Coord>(std::min<Coord>(rows.hi, M - 1) - bi * BR, BR - 1);
+        std::min<Coord>(std::min<Coord>(rows.hi, M - 1) - bi * R, R - 1);
     for (Coord q = seg.lo; q <= seg.hi; ++q) {
-      const Coord k0 = Coord{crd[q]} * BC;
-      const Coord base = q * BR * BC;
-      double blkv[BR * BC];
-      for (int t = 0; t < BR * BC; ++t) blkv[t] = bv[base + t];
-      if (k0 + BC <= K) {
-        for (Coord r = r_lo; r <= r_hi; ++r) {
-          const Coord i = bi * BR + r;
-          for (Coord j = cols.lo; j <= cols.hi; ++j) {
-            double sum = 0;
-            for (int ck = 0; ck < BC; ++ck) {
-              sum += blkv[r * BC + ck] * cv(k0 + ck, j);
+      const Coord k0 = Coord{crd[q]} * Cb;
+      const Coord base = q * R * Cb;
+      bool tiled = false;
+      if constexpr (BR > 0) {
+        tiled = k0 + BC <= K;
+        if (tiled) {
+          typename rt::RegionAccessor<double, 2, L>::Row c[BC];
+#pragma GCC unroll 8
+          for (int ck = 0; ck < BC; ++ck) c[ck] = cv.row(k0 + ck);
+          for (Coord r = r_lo; r <= r_hi; ++r) {
+            const auto out = av.row(bi * BR + r);
+            double b[BC];
+#pragma GCC unroll 8
+            for (int ck = 0; ck < BC; ++ck) b[ck] = bv[base + r * BC + ck];
+            for (Coord j = cols.lo; j <= cols.hi; ++j) {
+              double sum = 0;
+#pragma GCC unroll 8
+              for (int ck = 0; ck < BC; ++ck) sum += b[ck] * c[ck][j];
+              out[j] += sum;
             }
-            av(i, j) += sum;
           }
         }
-      } else {
-        const int kcnt = static_cast<int>(K - k0);
+      }
+      if (!tiled) {
+        const Coord kcnt = std::min<Coord>(Cb, K - k0);
         for (Coord r = r_lo; r <= r_hi; ++r) {
-          const Coord i = bi * BR + r;
+          const auto out = av.row(bi * R + r);
           for (Coord j = cols.lo; j <= cols.hi; ++j) {
             double sum = 0;
-            for (int ck = 0; ck < kcnt; ++ck) {
-              sum += blkv[r * BC + ck] * cv(k0 + ck, j);
+            for (Coord ck = 0; ck < kcnt; ++ck) {
+              sum += bv[base + r * Cb + ck] * cv(k0 + ck, j);
             }
-            av(i, j) += sum;
+            out[j] += sum;
           }
         }
       }
       const double rows_done = static_cast<double>(r_hi - r_lo + 1);
-      work.flops += 2.0 * rows_done * BC * static_cast<double>(cols.size());
-      work.bytes += 8.0 * BR * BC + 4.0 +
-                    8.0 * BC * static_cast<double>(cols.size());
-      work.nnz += rows_done * BC;
-    }
-  }
-  return work.done();
-}
-
-rt::WorkEstimate spmm_bcsr_any(const Tensor& A, const Tensor& B,
-                               const Tensor& C, const PieceBounds& piece,
-                               std::optional<uint32_t> col_var) {
-  WorkCounter work;
-  const Coord BR = B.format().mode(0).block();
-  const Coord BC = B.format().mode(1).block();
-  const auto& blk = B.storage().level(1);
-  const rt::RegionAccessor<rt::PosRange> pos(*blk.pos, rt::Access::Read);
-  const rt::RegionAccessor<int32_t> crd(*blk.crd, rt::Access::Read);
-  const rt::RegionAccessor<double> bv(*B.storage().vals(), rt::Access::Read);
-  const rt::RegionAccessor<double, 2> cv(*C.storage().vals(),
-                                         rt::Access::Read);
-  const rt::RegionAccessor<double, 2> av(*A.storage().vals());
-  const Coord M = B.dims()[0];
-  const Coord K = B.dims()[1];
-  const Coord J = A.dims()[1];
-  const rt::Rect1 rows = piece.dist_coords.value_or(rt::Rect1{0, M - 1});
-  const rt::Rect1 cols = col_var.has_value()
-                             ? piece.var_bound(*col_var, rt::Rect1{0, J - 1})
-                             : rt::Rect1{0, J - 1};
-  if (rows.empty() || cols.empty()) return work.done();
-  for (Coord bi = rows.lo / BR; bi <= rows.hi / BR; ++bi) {
-    const rt::PosRange seg = pos[bi];
-    work.segment();
-    const Coord r_lo = std::max<Coord>(rows.lo - bi * BR, 0);
-    const Coord r_hi =
-        std::min<Coord>(std::min<Coord>(rows.hi, M - 1) - bi * BR, BR - 1);
-    for (Coord q = seg.lo; q <= seg.hi; ++q) {
-      const Coord k0 = Coord{crd[q]} * BC;
-      const Coord base = q * BR * BC;
-      const Coord kcnt = std::min<Coord>(BC, K - k0);
-      for (Coord r = r_lo; r <= r_hi; ++r) {
-        const Coord i = bi * BR + r;
-        for (Coord j = cols.lo; j <= cols.hi; ++j) {
-          double sum = 0;
-          for (Coord ck = 0; ck < kcnt; ++ck) {
-            sum += bv[base + r * BC + ck] * cv(k0 + ck, j);
-          }
-          av(i, j) += sum;
-        }
-      }
-      const double rows_done = static_cast<double>(r_hi - r_lo + 1);
-      work.flops += 2.0 * rows_done * static_cast<double>(BC) *
+      work.flops += 2.0 * rows_done * static_cast<double>(Cb) *
                     static_cast<double>(cols.size());
-      work.bytes += 8.0 * static_cast<double>(BR * BC) + 4.0 +
-                    8.0 * static_cast<double>(BC * cols.size());
-      work.nnz += rows_done * static_cast<double>(BC);
+      work.bytes += 8.0 * static_cast<double>(R * Cb) + 4.0 +
+                    8.0 * static_cast<double>(Cb * cols.size());
+      work.nnz += rows_done * static_cast<double>(Cb);
     }
   }
   return work.done();
@@ -246,58 +178,36 @@ rt::WorkEstimate spmm_bcsr_any(const Tensor& A, const Tensor& B,
 Leaf make_spmv_bcsr(Tensor a, Tensor B, Tensor c) {
   const int R = B.format().mode(0).block();
   const int C = B.format().mode(1).block();
-  if (R == 2 && C == 2) {
-    return [a, B, c](const PieceBounds& p) mutable {
-      return spmv_bcsr_tile<2, 2>(a, B, c, p);
+  auto leaf = [&]<int BR, int BC>() -> Leaf {
+    return [a, B, c](const PieceBounds& p) {
+      return rt::dispatch_logged([&]<bool L>() {
+        return spmv_bcsr<L, BR, BC>(a, B, c, p);
+      });
     };
-  }
-  if (R == 4 && C == 4) {
-    return [a, B, c](const PieceBounds& p) mutable {
-      return spmv_bcsr_tile<4, 4>(a, B, c, p);
-    };
-  }
-  if (R == 4 && C == 8) {
-    return [a, B, c](const PieceBounds& p) mutable {
-      return spmv_bcsr_tile<4, 8>(a, B, c, p);
-    };
-  }
-  if (R == 8 && C == 8) {
-    return [a, B, c](const PieceBounds& p) mutable {
-      return spmv_bcsr_tile<8, 8>(a, B, c, p);
-    };
-  }
-  return [a, B, c](const PieceBounds& p) mutable {
-    return spmv_bcsr_any(a, B, c, p);
   };
+  if (R == 2 && C == 2) return leaf.template operator()<2, 2>();
+  if (R == 4 && C == 4) return leaf.template operator()<4, 4>();
+  if (R == 4 && C == 8) return leaf.template operator()<4, 8>();
+  if (R == 8 && C == 8) return leaf.template operator()<8, 8>();
+  return leaf.template operator()<0, 0>();  // runtime extents
 }
 
 Leaf make_spmm_bcsr(Tensor A, Tensor B, Tensor C,
                     std::optional<uint32_t> col_var) {
   const int R = B.format().mode(0).block();
   const int Cb = B.format().mode(1).block();
-  if (R == 2 && Cb == 2) {
-    return [A, B, C, col_var](const PieceBounds& p) mutable {
-      return spmm_bcsr_tile<2, 2>(A, B, C, p, col_var);
+  auto leaf = [&]<int BR, int BC>() -> Leaf {
+    return [A, B, C, col_var](const PieceBounds& p) {
+      return rt::dispatch_logged([&]<bool L>() {
+        return spmm_bcsr<L, BR, BC>(A, B, C, p, col_var);
+      });
     };
-  }
-  if (R == 4 && Cb == 4) {
-    return [A, B, C, col_var](const PieceBounds& p) mutable {
-      return spmm_bcsr_tile<4, 4>(A, B, C, p, col_var);
-    };
-  }
-  if (R == 4 && Cb == 8) {
-    return [A, B, C, col_var](const PieceBounds& p) mutable {
-      return spmm_bcsr_tile<4, 8>(A, B, C, p, col_var);
-    };
-  }
-  if (R == 8 && Cb == 8) {
-    return [A, B, C, col_var](const PieceBounds& p) mutable {
-      return spmm_bcsr_tile<8, 8>(A, B, C, p, col_var);
-    };
-  }
-  return [A, B, C, col_var](const PieceBounds& p) mutable {
-    return spmm_bcsr_any(A, B, C, p, col_var);
   };
+  if (R == 2 && Cb == 2) return leaf.template operator()<2, 2>();
+  if (R == 4 && Cb == 4) return leaf.template operator()<4, 4>();
+  if (R == 4 && Cb == 8) return leaf.template operator()<4, 8>();
+  if (R == 8 && Cb == 8) return leaf.template operator()<8, 8>();
+  return leaf.template operator()<0, 0>();  // runtime extents
 }
 
 }  // namespace spdistal::kern

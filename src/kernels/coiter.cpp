@@ -16,8 +16,9 @@ namespace {
 
 // Binary search for coordinate `c` in crd[seg.lo..seg.hi]; returns position
 // or -1 (crd is sorted within a segment by construction).
-Coord find_in_segment(const rt::RegionAccessor<int32_t>& crd, rt::PosRange seg,
-                      Coord c) {
+template <bool L>
+Coord find_in_segment(const rt::RegionAccessor<int32_t, 1, L>& crd,
+                      rt::PosRange seg, Coord c) {
   Coord lo = seg.lo;
   Coord hi = seg.hi;
   while (lo <= hi) {
@@ -200,14 +201,19 @@ CoiterEngine::CoiterEngine(const Statement& stmt,
 rt::WorkEstimate CoiterEngine::run(const PieceBounds& piece) const {
   rt::WorkEstimate total;
   for (const auto& term : tin::sum_of_products(stmt_.assignment.rhs)) {
-    total += run_term(term, piece);
+    total += rt::dispatch_logged(
+        [&]<bool L>() { return run_term<L>(term, piece); });
   }
   return total;
 }
 
+template <bool Logged>
 rt::WorkEstimate CoiterEngine::run_term(const tin::Expr& term,
                                         const PieceBounds& piece) const {
   WorkCounter work;
+  using PosAcc = rt::RegionAccessor<rt::PosRange, 1, Logged>;
+  using CrdAcc = rt::RegionAccessor<int32_t, 1, Logged>;
+  using ValAcc = rt::LinearAccessor<double, Logged>;
 
   // Resolve term accesses and the literal coefficient. Accessors for every
   // stored region are constructed here, once per term evaluation — the
@@ -218,10 +224,10 @@ rt::WorkEstimate CoiterEngine::run_term(const tin::Expr& term,
     std::vector<uint32_t> level_var_ids;
     bool all_dense;
     std::vector<IndexVar> vars;
-    rt::LinearAccessor<double> vals;
+    ValAcc vals;
     // Per storage level; default (invalid) for Dense levels.
-    std::vector<rt::RegionAccessor<rt::PosRange>> lpos;
-    std::vector<rt::RegionAccessor<int32_t>> lcrd;
+    std::vector<PosAcc> lpos;
+    std::vector<CrdAcc> lcrd;
   };
   std::vector<TermAccess> accs;
   double coeff = 1.0;
@@ -237,7 +243,7 @@ rt::WorkEstimate CoiterEngine::run_term(const tin::Expr& term,
           a.st = &t.storage();
           a.all_dense = t.format().all_dense();
           a.vars = e->vars;
-          a.vals = rt::LinearAccessor<double>(*a.st->vals(), rt::Access::Read);
+          a.vals = ValAcc(*a.st->vals(), rt::Access::Read);
           for (int l = 0; l < t.format().order(); ++l) {
             a.level_var_ids.push_back(
                 e->vars[static_cast<size_t>(t.format().dim_of_level(l))].id());
@@ -245,13 +251,10 @@ rt::WorkEstimate CoiterEngine::run_term(const tin::Expr& term,
             a.lpos.emplace_back();
             a.lcrd.emplace_back();
             if (level.kind.has_pos()) {
-              a.lpos.back() =
-                  rt::RegionAccessor<rt::PosRange>(*level.pos,
-                                                   rt::Access::Read);
+              a.lpos.back() = PosAcc(*level.pos, rt::Access::Read);
             }
             if (level.kind.has_crd()) {
-              a.lcrd.back() =
-                  rt::RegionAccessor<int32_t>(*level.crd, rt::Access::Read);
+              a.lcrd.back() = CrdAcc(*level.crd, rt::Access::Read);
             }
           }
           accs.push_back(std::move(a));
@@ -303,21 +306,19 @@ rt::WorkEstimate CoiterEngine::run_term(const tin::Expr& term,
   // the storage; the vals accessor is the one place a reduction redirect
   // can be in effect. The pos/crd tables keep the per-nonzero sparse-output
   // locate below off the per-element Region paths.
-  const rt::LinearAccessor<double> out_vals(*out_st.vals());
-  std::vector<rt::RegionAccessor<rt::PosRange>> out_lpos;
-  std::vector<rt::RegionAccessor<int32_t>> out_lcrd;
+  const ValAcc out_vals(*out_st.vals());
+  std::vector<PosAcc> out_lpos;
+  std::vector<CrdAcc> out_lcrd;
   if (!output_.all_dense) {
     for (int l = 0; l < out_st.num_levels(); ++l) {
       const LevelStorage& level = out_st.level(l);
       out_lpos.emplace_back();
       out_lcrd.emplace_back();
       if (level.kind.has_pos()) {
-        out_lpos.back() =
-            rt::RegionAccessor<rt::PosRange>(*level.pos, rt::Access::Read);
+        out_lpos.back() = PosAcc(*level.pos, rt::Access::Read);
       }
       if (level.kind.has_crd()) {
-        out_lcrd.back() =
-            rt::RegionAccessor<int32_t>(*level.crd, rt::Access::Read);
+        out_lcrd.back() = CrdAcc(*level.crd, rt::Access::Read);
       }
     }
   }
@@ -604,11 +605,11 @@ rt::WorkEstimate CoiterEngine::run_term(const tin::Expr& term,
   // Parent cursors of the Compressed levels below the root (Dense parents
   // are q / extent, Singleton positions are the parent's own). Positions
   // rise with q at every level, so each cursor only steps forward.
-  std::vector<ParentCursor> parent_at(static_cast<size_t>(L + 1));
+  std::vector<ParentCursor<Logged>> parent_at(static_cast<size_t>(L + 1));
   for (int l = 1; l <= L; ++l) {
     const LevelStorage& level = sa.st->level(l);
     if (level.kind.is_compressed()) {
-      parent_at[static_cast<size_t>(l)] = ParentCursor(level);
+      parent_at[static_cast<size_t>(l)] = ParentCursor<Logged>(level);
     }
   }
 

@@ -52,16 +52,21 @@ struct PieceBounds {
 
 // Coordinate-position iteration's parent lookup at one level that stores
 // `pos` (Compressed): returns the parent position owning each child
-// position of a rising sequence. The first call binary-searches `pos`;
-// later calls only step forward. Packing writes an empty segment as
-// {lo, lo-1}, so pos[p].hi never decreases and the first p with
-// pos[p].hi >= q owns q. Construct inside the leaf body (it holds an
-// accessor).
+// position of a rising sequence. Unless constructed at a known first
+// parent, the first call binary-searches `pos`; later calls only step
+// forward. Packing writes an empty segment as {lo, lo-1}, so pos[p].hi
+// never decreases and the first p with pos[p].hi >= q owns q. Construct
+// inside the leaf body (it holds an accessor).
+template <bool L>
 class ParentCursor {
  public:
   ParentCursor() = default;
-  explicit ParentCursor(const fmt::LevelStorage& level)
-      : pos_(*level.pos, rt::Access::Read), parents_(level.parent_positions) {}
+  // `first` >= 0 starts the walk at that parent without a search: a row
+  // piece's first row, which owns no position before the piece's first.
+  explicit ParentCursor(const fmt::LevelStorage& level, rt::Coord first = -1)
+      : pos_(*level.pos, rt::Access::Read),
+        parents_(level.parent_positions),
+        p_(first) {}
 
   // Parent of stored child position `q`; successive calls must not pass a
   // smaller q.
@@ -84,33 +89,58 @@ class ParentCursor {
   }
 
  private:
-  rt::RegionAccessor<rt::PosRange> pos_;
+  rt::RegionAccessor<rt::PosRange, 1, L> pos_;
   rt::Coord parents_ = 0;
   rt::Coord p_ = -1;  // -1 until the first call's search
 };
 
-// Calls visit(p, q) for every stored position q of `range` at a level that
-// stores `pos`, in ascending q, with p the parent owning q. A ParentCursor
-// finds the first parent; then each block of positions is marked with the
-// parents whose segments start in it, and the flat loop over the block
-// carries the latest mark forward. (A nested loop over segments mispredicts
-// its exit once per segment, which on short rows costs more than the work.)
+// The stored positions a piece walks at one level that stores `pos`, and
+// the parents that own them when the piece names those: a row piece names
+// its rows (and reads `pos` only inside them), a non-zero piece names only
+// its positions and searches for its first parent.
+struct PosSpan {
+  rt::Rect1 positions;
+  std::optional<rt::Rect1> parents;
+};
+
+// A row piece's span: the positions owned by `parents`, which is
+// [pos[parents.lo].lo, pos[parents.hi].hi] since segments are packed in
+// parent order.
+template <bool L>
+PosSpan parents_span(const fmt::LevelStorage& level, rt::Rect1 parents) {
+  if (parents.empty()) return PosSpan{rt::Rect1{}, parents};
+  const rt::RegionAccessor<rt::PosRange, 1, L> pos(*level.pos,
+                                                   rt::Access::Read);
+  return PosSpan{rt::Rect1{pos[parents.lo].lo, pos[parents.hi].hi}, parents};
+}
+
+// Calls visit(p, q) for every stored position q of `span` at a level that
+// stores `pos`, in ascending q, with p the parent owning q. The first parent
+// is the span's own or found by a ParentCursor search; then each block of
+// positions is marked with the parents whose segments start in it (never
+// past the span's last parent), and the flat loop over the block carries
+// the latest mark forward. (A nested loop over segments mispredicts its
+// exit once per segment, which on short rows costs more than the work.)
 // `visit` is taken by value so its captures become locals of the loop.
-template <typename Visit>
-void walk_positions(const fmt::LevelStorage& level, rt::Rect1 range,
+template <bool L, typename Visit>
+void walk_positions(const fmt::LevelStorage& level, const PosSpan& span,
                     Visit visit) {
+  const rt::Rect1 range = span.positions;
   if (range.empty()) return;
   constexpr rt::Coord kBlock = 256;
-  const rt::RegionAccessor<rt::PosRange> pos(*level.pos, rt::Access::Read);
-  const rt::Coord parents = level.parent_positions;
+  const rt::RegionAccessor<rt::PosRange, 1, L> pos(*level.pos,
+                                                   rt::Access::Read);
+  rt::Coord p = span.parents ? span.parents->lo
+                             : ParentCursor<L>(level)(range.lo);
+  const rt::Coord last =
+      span.parents ? span.parents->hi : level.parent_positions - 1;
   rt::Coord starts[kBlock];
-  rt::Coord p = ParentCursor(level)(range.lo);
   for (rt::Coord lo = range.lo; lo <= range.hi; lo += kBlock) {
     const rt::Coord n = std::min(kBlock, range.hi - lo + 1);
     std::fill(starts, starts + n, -1);
     // Ascending parents: an empty segment's mark is overwritten by the
     // parent that owns its start.
-    for (rt::Coord r = p + 1; r < parents && pos[r].lo < lo + n; ++r) {
+    for (rt::Coord r = p + 1; r <= last && pos[r].lo < lo + n; ++r) {
       starts[pos[r].lo - lo] = r;
     }
     rt::Coord owner = p;
@@ -145,6 +175,7 @@ class CoiterEngine {
     bool all_dense = false;
   };
 
+  template <bool L>
   rt::WorkEstimate run_term(const tin::Expr& term,
                             const PieceBounds& piece) const;
 

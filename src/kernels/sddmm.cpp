@@ -7,29 +7,36 @@ using rt::Coord;
 
 namespace {
 
-// Shared inner body: A and B patterns align 1:1, so the output value for
-// B's position q lives at A's position q. `walk(visit)` calls visit(i, q)
-// for every stored position q (row i) of the piece, in ascending q. With
-// `col_var`, only stored columns inside the piece's bound for that variable
-// are evaluated (axis-1 tile of a 2-D grid distribution).
-template <typename Walk>
-rt::WorkEstimate sddmm_positions(Tensor& A, Tensor& B, Tensor& C, Tensor& D,
-                                 std::optional<uint32_t> col_var,
-                                 const PieceBounds& piece, Walk&& walk) {
+// A and B patterns align 1:1, so the output value for B's position q lives
+// at A's position q. A row piece (`row_piece`) walks the positions of its
+// rows (dist_coords), a non-zero piece walks dist_pos; both price the same.
+// With `col_var`, only stored columns inside the piece's bound for that
+// variable are evaluated (axis-1 tile of a 2-D grid distribution).
+template <bool L>
+rt::WorkEstimate sddmm_walk(const Tensor& A, const Tensor& B, const Tensor& C,
+                            const Tensor& D, std::optional<uint32_t> col_var,
+                            const PieceBounds& piece, bool row_piece) {
   WorkCounter work;
-  const rt::RegionAccessor<int32_t> crd(*B.storage().level(1).crd,
-                                        rt::Access::Read);
-  const rt::RegionAccessor<double> bv(*B.storage().vals(), rt::Access::Read);
-  const rt::RegionAccessor<double, 2> cv(*C.storage().vals(),
-                                         rt::Access::Read);
-  const rt::RegionAccessor<double, 2> dv(*D.storage().vals(),
-                                         rt::Access::Read);
-  const rt::RegionAccessor<double> av(*A.storage().vals());
+  const auto& Bl = B.storage().level(1);
+  const rt::RegionAccessor<int32_t, 1, L> crd(*Bl.crd, rt::Access::Read);
+  const rt::RegionAccessor<double, 1, L> bv(*B.storage().vals(),
+                                            rt::Access::Read);
+  const rt::RegionAccessor<double, 2, L> cv(*C.storage().vals(),
+                                            rt::Access::Read);
+  const rt::RegionAccessor<double, 2, L> dv(*D.storage().vals(),
+                                            rt::Access::Read);
+  const rt::RegionAccessor<double, 1, L> av(*A.storage().vals());
   const Coord K = C.dims()[1];
   const bool clamp = col_var.has_value();
   const rt::Rect1 all{0, B.dims()[1] - 1};
   const rt::Rect1 cols = clamp ? piece.var_bound(*col_var, all) : all;
-  walk([&](Coord i, Coord q) {
+  const PosSpan span =
+      row_piece
+          ? parents_span<L>(Bl, piece.dist_coords.value_or(
+                                    rt::Rect1{0, B.dims()[0] - 1}))
+          : PosSpan{piece.dist_pos.value_or(rt::Rect1{0, Bl.positions - 1}),
+                    std::nullopt};
+  walk_positions<L>(Bl, span, [&](Coord i, Coord q) {
     const Coord j = crd[q];
     if (clamp) {
       work.stream(1, 4.0);
@@ -50,28 +57,18 @@ rt::WorkEstimate sddmm_positions(Tensor& A, Tensor& B, Tensor& C, Tensor& D,
 
 Leaf make_sddmm_nz(Tensor A, Tensor B, Tensor C, Tensor D,
                    std::optional<uint32_t> col_var) {
-  return [A, B, C, D, col_var](const PieceBounds& piece) mutable {
-    const auto& Bl = B.storage().level(1);
-    const rt::Rect1 range =
-        piece.dist_pos.value_or(rt::Rect1{0, Bl.positions - 1});
-    return sddmm_positions(A, B, C, D, col_var, piece, [&](auto&& visit) {
-      walk_positions(Bl, range, visit);
+  return [A, B, C, D, col_var](const PieceBounds& piece) {
+    return rt::dispatch_logged([&]<bool L>() {
+      return sddmm_walk<L>(A, B, C, D, col_var, piece, false);
     });
   };
 }
 
 Leaf make_sddmm_row(Tensor A, Tensor B, Tensor C, Tensor D,
                     std::optional<uint32_t> col_var) {
-  return [A, B, C, D, col_var](const PieceBounds& piece) mutable {
-    const rt::Rect1 rows =
-        piece.dist_coords.value_or(rt::Rect1{0, B.dims()[0] - 1});
-    return sddmm_positions(A, B, C, D, col_var, piece, [&](auto&& visit) {
-      const rt::RegionAccessor<rt::PosRange> pos(*B.storage().level(1).pos,
-                                                 rt::Access::Read);
-      for (Coord i = rows.lo; i <= rows.hi; ++i) {
-        const rt::PosRange seg = pos[i];
-        for (Coord q = seg.lo; q <= seg.hi; ++q) visit(i, q);
-      }
+  return [A, B, C, D, col_var](const PieceBounds& piece) {
+    return rt::dispatch_logged([&]<bool L>() {
+      return sddmm_walk<L>(A, B, C, D, col_var, piece, true);
     });
   };
 }

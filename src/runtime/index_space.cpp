@@ -482,7 +482,10 @@ std::string IndexSubset::str() const {
   std::vector<std::string> parts;
   parts.reserve(rects_.size());
   for (const auto& r : rects_) parts.push_back(r.str());
-  return "{" + join(parts, ", ") + "}";
+  std::string out = "{";
+  out += join(parts, ", ");
+  out += '}';
+  return out;
 }
 
 int64_t linearize(const RectN& bounds, const std::array<Coord, kMaxDim>& p) {

@@ -11,10 +11,12 @@
 // (see memory.h / runtime.h), not here.
 //
 // Access paths, fastest first:
-//  * RegionAccessor<T, DIM> / LinearAccessor<T>: the kernel ABI. The
-//    reduction-redirect lookup (atomic load + TLS walk) happens once at
-//    accessor construction, so element access inside leaf inner loops is
-//    plain pointer arithmetic the compiler can vectorize.
+//  * RegionAccessor<T, DIM, Logged> / LinearAccessor<T, Logged>: the kernel
+//    ABI. The reduction-redirect lookup (atomic load + TLS walk) happens
+//    once at accessor construction. An unlogged accessor's element access
+//    is plain pointer arithmetic the compiler can vectorize; a logged one
+//    also records each access for verify mode. Leaves pick one of the two
+//    once per invocation (dispatch_logged below).
 //  * Region<T>::operator[] / at2 / at3 / at_linear: per-element access that
 //    re-checks the redirect each call — fine for host-side code and tests,
 //    too slow for kernel inner loops.
@@ -332,9 +334,9 @@ class Region final : public RegionBase {
   }
 
  private:
-  template <typename, int>
+  template <typename, int, bool>
   friend class RegionAccessor;
-  template <typename>
+  template <typename, bool>
   friend class LinearAccessor;
 
   struct TypedScratch {
@@ -401,17 +403,53 @@ RegionRef<T> make_region(IndexSpace space, std::string name) {
 
 // --- accessors (the kernel ABI) ----------------------------------------------
 
+// Calls body.template operator()<Logged>() with Logged read once from
+// touch_logging_enabled(). Leaves wrap each invocation in it and build every
+// accessor with that flag, so with verify mode off their inner loops carry
+// no per-element touch-log test:
+//   return rt::dispatch_logged([&]<bool L>() { ... });
+template <typename Body>
+decltype(auto) dispatch_logged(Body&& body) {
+  if (touch_logging_enabled()) return body.template operator()<true>();
+  return body.template operator()<false>();
+}
+
+// The touch sink a new accessor records into: the thread's sink for the
+// region when a logged accessor is built in verify mode, nullptr otherwise.
+// An unlogged accessor built while touch logging is on fails: its accesses
+// would escape the privilege checker.
+template <bool Logged>
+TouchSink* sink_for(RegionId id, int dim, const std::string& name) {
+  if constexpr (Logged) {
+    if (touch_logging_enabled()) {
+      if (TouchLog* log = active_touch_log()) return log->sink(id, dim);
+    }
+  } else {
+    (void)id;
+    (void)dim;
+    SPD_ASSERT(!touch_logging_enabled(),
+               "unlogged accessor on " << name
+                                       << " built while touch logging is on");
+  }
+  return nullptr;
+}
+
 // Coordinate-addressed accessor of a DIM-dimensional region, resolved once
 // per leaf invocation: the redirect check happens at construction, element
 // access is plain indexing off a raw pointer. Must be constructed *inside*
 // the point-task body (after the executor installed the task's reduction
 // redirects) and must not outlive it.
 //
+// `Logged` accessors record every element access into the thread's active
+// touch log (verify mode) and pay a branch per access for it; unlogged ones
+// pay nothing and must not be built while touch logging is on, since their
+// accesses would escape the privilege checker.
+//
 // Writable by design even when constructed from a const reference — leaves
 // receive operand and output tensors through the same storage handles, and
 // const-ness of the underlying data is governed by the launch's privileges,
 // not the C++ type.
-template <typename T, int DIM = 1>
+template <typename T, int DIM = 1, bool Logged = true>
 class RegionAccessor {
  public:
   RegionAccessor() = default;
@@ -435,10 +473,7 @@ class RegionAccessor {
       stride_[static_cast<size_t>(d)] = stride;
       stride *= box.hi[d] - box.lo[d] + 1;
     }
-    // Verify mode: one relaxed load; off is the only cost the hot path pays.
-    if (touch_logging_enabled()) {
-      if (TouchLog* log = active_touch_log()) sink_ = log->sink(r.id(), DIM);
-    }
+    sink_ = sink_for<Logged>(r.id(), DIM, r.name());
   }
 
   bool valid() const { return base_ != nullptr; }
@@ -446,20 +481,46 @@ class RegionAccessor {
   T& operator[](Coord i) const
     requires(DIM == 1)
   {
-    if (sink_) sink_->touch1(i, intent_);
+    if constexpr (Logged) {
+      if (sink_) sink_->touch1(i, intent_);
+    }
     return base_[static_cast<size_t>(i - lo_[0])];
   }
   T& operator()(Coord i, Coord j) const
     requires(DIM == 2)
   {
-    if (sink_) sink_->touch2(i, j, intent_);
+    if constexpr (Logged) {
+      if (sink_) sink_->touch2(i, j, intent_);
+    }
     return base_[static_cast<size_t>((i - lo_[0]) * stride_[0] +
                                      (j - lo_[1]))];
+  }
+  // Row i of a 2-D region as a 1-D view: row(i)[j] is (*this)(i, j), logged
+  // alike. Taking the row once hoists its offset out of a j loop.
+  struct Row {
+    T* base = nullptr;  // element (i, lo of dim 1)
+    Coord lo = 0;
+    Coord i = 0;
+    TouchSink* sink = nullptr;
+    Access intent = Access::ReadWrite;
+    T& operator[](Coord j) const {
+      if constexpr (Logged) {
+        if (sink) sink->touch2(i, j, intent);
+      }
+      return base[static_cast<size_t>(j - lo)];
+    }
+  };
+  Row row(Coord i) const
+    requires(DIM == 2)
+  {
+    return Row{base_ + (i - lo_[0]) * stride_[0], lo_[1], i, sink_, intent_};
   }
   T& operator()(Coord i, Coord j, Coord k) const
     requires(DIM == 3)
   {
-    if (sink_) sink_->touch3(i, j, k, intent_);
+    if constexpr (Logged) {
+      if (sink_) sink_->touch3(i, j, k, intent_);
+    }
     return base_[static_cast<size_t>((i - lo_[0]) * stride_[0] +
                                      (j - lo_[1]) * stride_[1] +
                                      (k - lo_[2]))];
@@ -477,8 +538,8 @@ class RegionAccessor {
 // the region's full bounds (the coordinate-tree position numbering used by
 // sparse-storage walkers), whatever the region's rank. The common path is a
 // single indexed load/store; only a bounding-box scratch redirect pays a
-// per-access translation.
-template <typename T>
+// per-access translation. `Logged` as in RegionAccessor.
+template <typename T, bool Logged = true>
 class LinearAccessor {
  public:
   LinearAccessor() = default;
@@ -492,18 +553,15 @@ class LinearAccessor {
     outer_ = &r.space().bounds();
     box_ = b.box;
     direct_ = (box_ == outer_) || (*box_ == *outer_);
-    // Verify mode: one relaxed load; off is the only cost the hot path pays.
-    if (touch_logging_enabled()) {
-      if (TouchLog* log = active_touch_log()) {
-        sink_ = log->sink(r.id(), r.space().dim());
-      }
-    }
+    sink_ = sink_for<Logged>(r.id(), r.space().dim(), r.name());
   }
 
   bool valid() const { return base_ != nullptr; }
 
   T& at(Coord idx) const {
-    if (sink_) sink_->touch_linear(*outer_, idx, intent_);
+    if constexpr (Logged) {
+      if (sink_) sink_->touch_linear(*outer_, idx, intent_);
+    }
     if (direct_) return base_[static_cast<size_t>(idx)];
     return base_[static_cast<size_t>(
         Region<T>::translate_linear(*outer_, *box_, idx))];

@@ -1,16 +1,19 @@
 // Touched-bounds recording for the verify subsystem (SPDISTAL_VERIFY=1).
 //
 // In verify mode every point task runs with a TouchLog installed on its
-// worker thread; RegionAccessor / LinearAccessor (and the per-element
-// Region paths) record each coordinate they address into the log's
-// per-region sink. After the body returns, the privilege checker validates
-// the recorded coordinates against the point's declared RegionReq subsets —
-// an in-house address sanitizer for regions.
+// worker thread; logged RegionAccessor / LinearAccessor instances (and the
+// per-element Region paths) record each coordinate they address into the
+// log's per-region sink. After the body returns, the privilege checker
+// validates the recorded coordinates against the point's declared
+// RegionReq subsets — an in-house address sanitizer for regions.
 //
-// Cost contract: with verification disabled, touch_logging_enabled() is one
-// relaxed atomic load at accessor construction (the accessor then carries a
-// null sink and element access is unchanged raw pointer math). Recording
-// itself only happens inside verify-mode point tasks.
+// Cost contract: with verification disabled, a leaf pays one relaxed atomic
+// load of touch_logging_enabled() per invocation (rt::dispatch_logged) and
+// one per accessor it builds; it then runs on unlogged accessors, whose
+// element access is raw pointer math with no touch-log branch. Logged
+// accessors, built only while logging is on, test their sink on every
+// element access; recording itself only happens inside verify-mode point
+// tasks. The per-element Region paths test the switch on every access.
 #pragma once
 
 #include <atomic>

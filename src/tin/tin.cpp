@@ -182,7 +182,10 @@ std::string expr_str(const Expr& e) {
     case ExprKind::Add: {
       std::vector<std::string> parts;
       for (const auto& op : e->operands) parts.push_back(expr_str(op));
-      return "(" + join(parts, " + ") + ")";
+      std::string out = "(";
+      out += join(parts, " + ");
+      out += ')';
+      return out;
     }
   }
   return "?";

@@ -231,13 +231,40 @@ TEST(WalkPositions, VisitsEachPositionWithItsOwner) {
   for (const rt::Rect1& r : ranges) {
     Coord expect = r.lo;
     bool ok = true;
-    walk_positions(level, r, [&](Coord p, Coord q) {
-      const rt::PosRange seg = (*level.pos)[p];
-      ok = ok && q == expect && seg.lo <= q && q <= seg.hi;
-      ++expect;
-    });
+    walk_positions<false>(level, PosSpan{r, std::nullopt},
+                          [&](Coord p, Coord q) {
+                            const rt::PosRange seg = (*level.pos)[p];
+                            ok = ok && q == expect && seg.lo <= q &&
+                                 q <= seg.hi;
+                            ++expect;
+                          });
     EXPECT_TRUE(ok) << "[" << r.lo << ", " << r.hi << "]";
     EXPECT_EQ(expect, r.empty() ? r.lo : r.hi + 1);
+  }
+  // Row spans: exactly the positions of the rows, each with its owner,
+  // from leading and trailing runs of empty rows alike.
+  std::vector<rt::Rect1> row_ranges = {{0, rows - 1}, {0, 0},     {7, 7},
+                                       {200, 299},    {250, 260}, {5, 4},
+                                       {rows - 1, rows - 1}};
+  for (int t = 0; t < 40; ++t) {
+    const Coord a = rng.next_range(0, rows - 1);
+    const Coord b = rng.next_range(0, rows - 1);
+    row_ranges.push_back(rt::Rect1{std::min(a, b), std::max(a, b)});
+  }
+  for (const rt::Rect1& r : row_ranges) {
+    const PosSpan span = parents_span<false>(level, r);
+    Coord expect = span.positions.lo;
+    bool ok = true;
+    walk_positions<false>(level, span, [&](Coord p, Coord q) {
+      const rt::PosRange seg = (*level.pos)[p];
+      ok = ok && r.contains(p) && q == expect && seg.lo <= q && q <= seg.hi;
+      ++expect;
+    });
+    Coord stored = 0;
+    for (Coord p = r.lo; p <= r.hi; ++p) stored += (*level.pos)[p].size();
+    EXPECT_TRUE(ok) << "rows [" << r.lo << ", " << r.hi << "]";
+    EXPECT_EQ(span.positions.size(), stored);
+    EXPECT_EQ(expect - span.positions.lo, stored);
   }
 }
 

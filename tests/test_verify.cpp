@@ -206,6 +206,70 @@ TEST(VerifyPrivilege, CatchesOutOfSubsetWrite) {
   }
 }
 
+// Leaves read through accessors, not Region::operator[]: a seeded read of
+// one element outside the point's subset through a 1-D RegionAccessor, a
+// 2-D RegionAccessor and a LinearAccessor is each caught. The bodies pick
+// their accessors the way leaves do (rt::dispatch_logged), so this also
+// checks that verify mode picks the logged ones.
+TEST(VerifyPrivilege, CatchesOutOfSubsetAccessorRead) {
+  VerifyGuard guard;
+  Machine m = cpu_machine(2);
+  enum class Via { Region1, Region2, Linear };
+  for (Via via : {Via::Region1, Via::Region2, Via::Linear}) {
+    const bool two_d = via == Via::Region2;
+    Runtime rt(m, 1);
+    auto r = rt.create_region<double>(
+        two_d ? IndexSpace(RectN::make2(0, 9, 0, 9)) : IndexSpace(100),
+        "src");
+    r->fill(1.0);
+    rt.flush();
+    Partition p = rt::partition_equal(r->space(), 2);
+    IndexLaunch launch;
+    launch.name = "reader";
+    launch.domain = 2;
+    launch.reqs = {RegionReq{r, &p, Privilege::RO}};
+    // Seeded defect: each point reads the far end of the other half.
+    launch.body = [&](const TaskContext& ctx) {
+      const Coord far = ctx.color() == 0 ? 99 : 0;
+      const double v = rt::dispatch_logged([&]<bool L>() {
+        if (via == Via::Region2) {
+          const rt::RegionAccessor<double, 2, L> acc(*r, rt::Access::Read);
+          return acc(far / 10, far % 10);
+        }
+        if (via == Via::Linear) {
+          const rt::LinearAccessor<double, L> acc(*r, rt::Access::Read);
+          return acc.at(far);
+        }
+        const rt::RegionAccessor<double, 1, L> acc(*r, rt::Access::Read);
+        return acc[far];
+      });
+      return WorkEstimate{v, 8};
+    };
+    rt.execute(launch);
+    try {
+      rt.flush();
+      ADD_FAILURE() << "privilege checker missed an out-of-subset read via "
+                    << static_cast<int>(via);
+    } catch (const VerifyError& e) {
+      EXPECT_NE(std::string(e.what()).find("outside its declared subset"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// An unlogged accessor built while touch logging is on would hide its
+// accesses from the privilege checker, so building one aborts.
+TEST(VerifyAccessorDeathTest, UnloggedAccessorUnderTouchLoggingAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  VerifyGuard guard;
+  auto r = rt::make_region<double>(IndexSpace(4), "hidden");
+  using Unlogged = rt::RegionAccessor<double, 1, false>;
+  using UnloggedLinear = rt::LinearAccessor<double, false>;
+  EXPECT_DEATH(Unlogged{*r}, "built while touch logging is on");
+  EXPECT_DEATH(UnloggedLinear{*r}, "built while touch logging is on");
+}
+
 TEST(VerifyPrivilege, CatchesTouchOfUndeclaredRegion) {
   VerifyGuard guard;
   Machine m = cpu_machine(2);
