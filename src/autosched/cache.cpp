@@ -54,14 +54,13 @@ void canonical_expr(const tin::Expr& e,
 // (dims only): its non-zero pattern is derived from the inputs (assembly may
 // materialize it between compiles of the same computation, and that must not
 // turn cache hits into misses). Dense and unpacked tensors likewise carry no
-// pattern. Packed sparse inputs reuse the sketch computed at pack time.
+// pattern. Packed sparse inputs are sketched here, once per key.
 data::SparsityFingerprint tensor_fingerprint(const std::string& name,
                                              const Tensor& t,
                                              const std::string& output) {
   if (name == output || t.format().all_dense() || !t.has_storage()) {
     return data::dense_fingerprint(t.dims());
   }
-  if (const auto& fp = t.storage().fingerprint()) return *fp;
   return data::fingerprint(t.storage());
 }
 

@@ -1,6 +1,7 @@
 #include "compiler/lower.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "autosched/autosched.h"
 #include "common/str_util.h"
@@ -260,7 +261,11 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
     // costs: drain in-flight launches so accounting stays in submission
     // order and nothing still reads the old pattern.
     runtime.flush();
-    kern::AssemblyResult res = kern::assemble_output(stmt);
+    kern::AssemblyResult res;
+    {
+      OBS_SPAN("compiler", "instantiate.assemble");
+      res = kern::assemble_output(stmt);
+    }
     pattern_preserved = res.pattern_preserved;
     trace.append(PlanOpKind::LeafKernel,
                  strprintf("assemble %s: symbolic phase, %lld output "
@@ -283,6 +288,8 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
   }
 
   // --- Partitioning phase (Figure 9a) ----------------------------------------
+  std::optional<obs::Span> partitions_span;
+  partitions_span.emplace("compiler", "instantiate.partitions");
   auto own = [&](Partition p) -> Partition* {
     inst->parts_.push_back(std::make_unique<Partition>(std::move(p)));
     return inst->parts_.back().get();
@@ -740,14 +747,19 @@ std::unique_ptr<Instance> CompiledKernel::instantiate(
     }
   }
 
+  partitions_span.reset();
+
   // --- Install data distributions (TDN statements) ---------------------------
   // Deferred to the end of setup: set_placement drains in-flight launches,
   // so everything above it (the expensive partition construction) already
   // overlapped their execution.
-  for (const auto& [name, tensor] : stmt.bindings) {
-    if (tensor.distribution().has_value() && tensor.has_storage()) {
-      tdn::distribute_tensor(trace, runtime, tensor.storage(),
-                             *tensor.distribution(), machine_);
+  {
+    OBS_SPAN("compiler", "instantiate.distribute");
+    for (const auto& [name, tensor] : stmt.bindings) {
+      if (tensor.distribution().has_value() && tensor.has_storage()) {
+        tdn::distribute_tensor(trace, runtime, tensor.storage(),
+                               *tensor.distribution(), machine_);
+      }
     }
   }
 

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
-#include <unordered_map>
+#include <utility>
 
 #include "common/str_util.h"
 #include "format/storage.h"
@@ -142,31 +142,97 @@ double SparsityFingerprint::distance(const SparsityFingerprint& o) const {
   return d;
 }
 
+namespace {
+
+// Stored values under each root-level position, i.e. the values the
+// coordinate tree's walk visits below it: one per last-level position,
+// summed up the chain. Empty means "one per position" (a one-level tree).
+std::vector<int64_t> values_under_root(const fmt::TensorStorage& st) {
+  std::vector<int64_t> under;
+  for (int c = st.num_levels() - 1; c > 0; --c) {
+    const fmt::LevelStorage& child = st.level(c);
+    std::vector<int64_t> up(static_cast<size_t>(child.parent_positions));
+    const auto at = [&under](Coord q) {
+      return under.empty() ? int64_t{1} : under[static_cast<size_t>(q)];
+    };
+    for (Coord p = 0; p < child.parent_positions; ++p) {
+      int64_t sum = 0;
+      if (child.kind.is_dense()) {
+        for (Coord q = p * child.extent; q < (p + 1) * child.extent; ++q) {
+          sum += at(q);
+        }
+      } else if (child.kind.is_singleton()) {
+        sum = at(p);
+      } else {
+        const rt::PosRange r = child.pos->data()[static_cast<size_t>(p)];
+        if (under.empty()) {
+          sum = r.hi - r.lo + 1;
+        } else {
+          for (Coord q = r.lo; q <= r.hi; ++q) sum += at(q);
+        }
+      }
+      up[static_cast<size_t>(p)] = sum;
+    }
+    under = std::move(up);
+  }
+  return under;
+}
+
+}  // namespace
+
 SparsityFingerprint fingerprint(const fmt::TensorStorage& st) {
   SparsityFingerprint fp;
   fp.dims = st.dims();
   if (st.format().all_dense()) return fp;
   fp.has_pattern = true;
   fp.nnz = st.nnz();
-  const int top_dim = st.format().dim_of_level(0);
-  const Coord extent =
-      std::max<Coord>(st.dims()[static_cast<size_t>(top_dim)], 1);
-  std::unordered_map<Coord, int64_t> row_degree;
-  st.for_each([&](const std::array<Coord, rt::kMaxDim>& c, double) {
-    const Coord top = c[static_cast<size_t>(top_dim)];
-    const size_t b = static_cast<size_t>(
-        top * SparsityFingerprint::kHistBuckets / extent);
-    fp.hist[std::min<size_t>(b, SparsityFingerprint::kHistBuckets - 1)]++;
-    row_degree[top]++;
-  });
-  for (const auto& [row, deg] : row_degree) {
-    (void)row;
-    int b = 0;
-    while ((int64_t{1} << (b + 1)) <= deg &&
-           b + 1 < SparsityFingerprint::kDegreeBuckets) {
-      ++b;
+  const fmt::LevelStorage& top = st.level(0);
+  const Coord extent = std::max<Coord>(top.extent, 1);
+  // (top coordinate, stored values under it) per top-level position; a
+  // non-unique root repeats coordinates, so equal ones are merged below.
+  std::vector<std::pair<Coord, int64_t>> rows;
+  if (top.kind.is_blocked()) {
+    // A stored block (bi, bj) holds R*C lanes, padding included; row
+    // bi*R + r gets the lanes of its columns inside the extent.
+    const fmt::LevelStorage& blk = st.level(1);
+    const Coord R = top.kind.block();
+    const Coord C = blk.kind.block();
+    for (Coord bi = 0; bi < top.positions; ++bi) {
+      const rt::PosRange r = blk.pos->data()[static_cast<size_t>(bi)];
+      int64_t lanes = 0;
+      for (Coord q = r.lo; q <= r.hi; ++q) {
+        const Coord bj = blk.crd->data()[static_cast<size_t>(q)];
+        lanes += std::min(C, blk.extent - bj * C);
+      }
+      for (Coord i = bi * R; i < std::min((bi + 1) * R, top.extent); ++i) {
+        rows.emplace_back(i, lanes);
+      }
     }
-    fp.degree[static_cast<size_t>(b)]++;
+  } else {
+    const std::vector<int64_t> under = values_under_root(st);
+    for (Coord q = 0; q < top.positions; ++q) {
+      const Coord c =
+          top.kind.is_dense() ? q : top.crd->data()[static_cast<size_t>(q)];
+      rows.emplace_back(c, under.empty() ? 1 : under[static_cast<size_t>(q)]);
+    }
+  }
+  if (!std::is_sorted(rows.begin(), rows.end())) {
+    std::sort(rows.begin(), rows.end());
+  }
+  for (size_t r = 0; r < rows.size();) {
+    const Coord row = rows[r].first;
+    int64_t deg = 0;
+    for (; r < rows.size() && rows[r].first == row; ++r) deg += rows[r].second;
+    if (deg == 0) continue;
+    const size_t b =
+        static_cast<size_t>(row * SparsityFingerprint::kHistBuckets / extent);
+    fp.hist[std::min<size_t>(b, SparsityFingerprint::kHistBuckets - 1)] += deg;
+    int g = 0;
+    while ((int64_t{1} << (g + 1)) <= deg &&
+           g + 1 < SparsityFingerprint::kDegreeBuckets) {
+      ++g;
+    }
+    fp.degree[static_cast<size_t>(g)]++;
   }
   return fp;
 }

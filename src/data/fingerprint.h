@@ -10,8 +10,9 @@
 // row-degree histogram) with a normalized distance, so the plan service can
 // serve "similar enough" tensors from a recipe priced for a sibling.
 //
-// Fingerprints are computed once at pack time (fmt::pack) and carried on the
-// TensorStorage; they round-trip through a canonical string so persisted
+// Fingerprints are computed on demand, when a plan-cache key is built
+// (autosched::plan_key), so tensors that never reach the plan service cost
+// nothing; they round-trip through a canonical string so persisted
 // plan-store entries stay fuzzy-matchable across processes.
 #pragma once
 
@@ -66,8 +67,9 @@ struct SparsityFingerprint {
   bool operator==(const SparsityFingerprint&) const = default;
 };
 
-// O(nnz) sketch of a packed storage. All-dense storages (whose "pattern" is
-// the whole box) get a structural-only fingerprint.
+// Sketch of a packed storage, linear in its stored positions (flat loops
+// over pos/crd, no coordinate walk). All-dense storages (whose "pattern"
+// is the whole box) get a structural-only fingerprint.
 SparsityFingerprint fingerprint(const fmt::TensorStorage& st);
 
 // Structural-only fingerprint: dimensions, no pattern.

@@ -5,15 +5,31 @@
 // (Compressed unique, emitting pos/crd), by every entry individually
 // (Compressed non-unique — the COO root, one position per stored entry), or
 // not at all (Singleton — crd only, positions shared 1:1 with the parent).
+// All-dense formats skip the grouping: each entry's value goes straight to
+// its row-major position.
 #include "format/storage.h"
 
 #include <algorithm>
 #include <numeric>
 
-#include "data/fingerprint.h"
 #include "obs/obs.h"
 
 namespace spdistal::fmt {
+
+namespace {
+
+// pack.* metrics: tensors packed, their stored entries, wall time.
+void record_pack(double t0, int64_t stored) {
+  if (!obs::enabled()) return;
+  static obs::Counter& tensors = obs::Metrics::global().counter("pack.tensors");
+  static obs::Counter& nnz = obs::Metrics::global().counter("pack.nnz");
+  static obs::Histogram& us = obs::Metrics::global().histogram("pack.us");
+  tensors.add(1);
+  nnz.add(stored);
+  us.record(static_cast<int64_t>(obs::wall_us() - t0));
+}
+
+}  // namespace
 
 // BCSR pack: groups the (sorted, coalesced) entries into R x C blocks; one
 // pos segment of block columns per block row, one crd entry per stored
@@ -92,9 +108,7 @@ TensorStorage pack_blocked(const std::string& name, const Format& format,
   cols.positions = static_cast<Coord>(crds.size());
   cols.crd = rt::make_region<int32_t>(
       rt::IndexSpace(std::max<Coord>(cols.positions, 1)), name + ".crd2");
-  for (size_t i = 0; i < crds.size(); ++i) {
-    (*cols.crd)[static_cast<Coord>(i)] = crds[i];
-  }
+  std::copy(crds.begin(), crds.end(), cols.crd->data().begin());
   st.levels_.push_back(std::move(rows));
   st.levels_.push_back(std::move(cols));
 
@@ -102,12 +116,9 @@ TensorStorage pack_blocked(const std::string& name, const Format& format,
       std::max<Coord>(st.levels_.back().positions * R * C, 1);
   st.vals_ =
       rt::make_region<double>(rt::IndexSpace(vals_count), name + ".vals");
-  st.vals_->fill(0.0);
   for (const auto& [e, vp] : lanes) {
     st.vals_->at_linear(vp) = coo.vals[static_cast<size_t>(e)];
   }
-  st.fingerprint_ =
-      std::make_shared<const data::SparsityFingerprint>(data::fingerprint(st));
   return st;
 }
 
@@ -151,15 +162,7 @@ TensorStorage pack(const std::string& name, const Format& format,
 
   if (format.order() == 2 && format.mode(0).is_blocked()) {
     TensorStorage st = pack_blocked(name, format, dims, coo);
-    if (obs::enabled()) {
-      static obs::Counter& tensors =
-          obs::Metrics::global().counter("pack.tensors");
-      static obs::Counter& nnz = obs::Metrics::global().counter("pack.nnz");
-      static obs::Histogram& us = obs::Metrics::global().histogram("pack.us");
-      tensors.add(1);
-      nnz.add(st.nnz());
-      us.record(static_cast<int64_t>(obs::wall_us() - t0));
-    }
+    record_pack(t0, st.nnz());
     return st;
   }
 
@@ -168,6 +171,39 @@ TensorStorage pack(const std::string& name, const Format& format,
   st.format_ = format;
   st.dims_ = dims;
   st.nnz_ = coo.nnz();
+
+  // All-dense: every coordinate has a position (row-major in storage order,
+  // matching dense position numbering), so each entry's value goes straight
+  // to its position in an N-D vals region — partitions along any dimension
+  // are then cheap rectangles.
+  if (format.all_dense()) {
+    rt::RectN bounds;
+    bounds.dim = format.order();
+    Coord positions = 1;
+    for (int l = 0; l < format.order(); ++l) {
+      LevelStorage level;
+      level.kind = format.mode(l);
+      level.dim = format.dim_of_level(l);
+      level.extent = dims[static_cast<size_t>(level.dim)];
+      level.parent_positions = positions;
+      positions *= level.extent;
+      level.positions = positions;
+      bounds.lo[static_cast<size_t>(l)] = 0;
+      bounds.hi[static_cast<size_t>(l)] = level.extent - 1;
+      st.levels_.push_back(std::move(level));
+    }
+    st.vals_ = rt::make_region<double>(rt::IndexSpace(bounds), name + ".vals");
+    std::vector<double>& vals = st.vals_->data();
+    for (size_t e = 0; e < coo.coords.size(); ++e) {
+      Coord p = 0;
+      for (const LevelStorage& level : st.levels_) {
+        p = p * level.extent + coo.coords[e][static_cast<size_t>(level.dim)];
+      }
+      vals[static_cast<size_t>(p)] = coo.vals[e];
+    }
+    record_pack(t0, st.nnz_);
+    return st;
+  }
 
   // Current groups: [begin, end) ranges into the sorted coordinate list, one
   // per position of the previously packed level (possibly empty).
@@ -248,9 +284,7 @@ TensorStorage pack(const std::string& name, const Format& format,
       level.crd = rt::make_region<int32_t>(
           rt::IndexSpace(std::max<Coord>(level.positions, 1)),
           name + ".crd" + std::to_string(l + 1));
-      for (size_t i = 0; i < crds.size(); ++i) {
-        (*level.crd)[static_cast<Coord>(i)] = crds[i];
-      }
+      std::copy(crds.begin(), crds.end(), level.crd->data().begin());
       groups = std::move(next);
     } else {
       level.pos = rt::make_region<rt::PosRange>(
@@ -281,55 +315,25 @@ TensorStorage pack(const std::string& name, const Format& format,
       level.crd = rt::make_region<int32_t>(
           rt::IndexSpace(std::max<Coord>(level.positions, 1)),
           name + ".crd" + std::to_string(l + 1));
-      for (size_t i = 0; i < crds.size(); ++i) {
-        (*level.crd)[static_cast<Coord>(i)] = crds[i];
-      }
+      std::copy(crds.begin(), crds.end(), level.crd->data().begin());
       groups = std::move(next);
     }
     st.levels_.push_back(std::move(level));
   }
 
-  // vals: one entry per last-level position. All-dense tensors get an N-D
-  // vals region (row-major, matching dense position numbering) so that
-  // partitions along any dimension are cheap rectangles; mixed formats end
-  // in a 1-D position space aligned with the last level's crd.
-  if (format.all_dense()) {
-    rt::RectN bounds;
-    bounds.dim = format.order();
-    for (int l = 0; l < format.order(); ++l) {
-      bounds.lo[static_cast<size_t>(l)] = 0;
-      bounds.hi[static_cast<size_t>(l)] =
-          dims[static_cast<size_t>(format.dim_of_level(l))] - 1;
-    }
-    st.vals_ =
-        rt::make_region<double>(rt::IndexSpace(bounds), name + ".vals");
-  } else {
-    const Coord vals_count = std::max<Coord>(st.levels_.back().positions, 1);
-    st.vals_ =
-        rt::make_region<double>(rt::IndexSpace(vals_count), name + ".vals");
-  }
-  st.vals_->fill(0.0);
+  // vals: one entry per last-level position, aligned with the last level's
+  // crd (regions start zeroed).
+  const Coord vals_count = std::max<Coord>(st.levels_.back().positions, 1);
+  st.vals_ =
+      rt::make_region<double>(rt::IndexSpace(vals_count), name + ".vals");
+  std::vector<double>& vals = st.vals_->data();
   for (size_t p = 0; p < groups.size(); ++p) {
     const auto& g = groups[p];
     SPD_ASSERT(g.end - g.begin <= 1,
                "pack: duplicate coordinates survived combine in " << name);
-    if (g.end > g.begin) {
-      st.vals_->at_linear(static_cast<Coord>(p)) =
-          coo.vals[static_cast<size_t>(g.begin)];
-    }
+    if (g.end > g.begin) vals[p] = coo.vals[static_cast<size_t>(g.begin)];
   }
-  // Sketch the non-zero pattern now, while the coordinates are hot: cache
-  // keys and the persistent plan store read this instead of re-scanning.
-  st.fingerprint_ =
-      std::make_shared<const data::SparsityFingerprint>(data::fingerprint(st));
-  if (obs::enabled()) {
-    static obs::Counter& tensors = obs::Metrics::global().counter("pack.tensors");
-    static obs::Counter& nnz = obs::Metrics::global().counter("pack.nnz");
-    static obs::Histogram& us = obs::Metrics::global().histogram("pack.us");
-    tensors.add(1);
-    nnz.add(st.nnz_);
-    us.record(static_cast<int64_t>(obs::wall_us() - t0));
-  }
+  record_pack(t0, st.nnz_);
   return st;
 }
 

@@ -1,6 +1,8 @@
 #include "format/storage.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <numeric>
 
 #include "common/str_util.h"
@@ -20,28 +22,76 @@ void Coo::push(const std::array<Coord, rt::kMaxDim>& coord, double v) {
   vals.push_back(v);
 }
 
+namespace {
+
+using Key = std::array<Coord, rt::kMaxDim>;
+
+bool sorted_by(const std::vector<Key>& coords,
+               const std::vector<int>& dim_order) {
+  for (size_t e = 1; e < coords.size(); ++e) {
+    for (int d : dim_order) {
+      const Coord a = coords[e - 1][static_cast<size_t>(d)];
+      const Coord b = coords[e][static_cast<size_t>(d)];
+      if (a < b) break;
+      if (a > b) return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 void Coo::sort(const std::vector<int>& dim_order) {
   SPD_ASSERT(dim_order.size() == dims.size(), "bad dim order");
-  std::vector<size_t> perm(coords.size());
-  std::iota(perm.begin(), perm.end(), 0);
-  // Stable: duplicate coordinates keep input order, so unordered inputs
-  // (and duplicate-preserving packs) are deterministic functions of the
-  // entry list.
-  std::stable_sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
-    for (int d : dim_order) {
-      const Coord ca = coords[a][static_cast<size_t>(d)];
-      const Coord cb = coords[b][static_cast<size_t>(d)];
-      if (ca != cb) return ca < cb;
+  SPD_ASSERT(coords.size() == vals.size(), "Coo: coords/vals size mismatch");
+  if (sorted_by(coords, dim_order)) return;
+  const size_t n = coords.size();
+  SPD_CHECK(n <= std::numeric_limits<uint32_t>::max(), NotationError,
+            "Coo::sort: " << n << " entries exceed the 2^32 sort limit");
+  // Stable LSD radix sort: the last dimension of the storage order first,
+  // each dimension's (coordinate - min) in equal digits of at most 16 bits,
+  // lowest digit first. Every digit pass is a stable counting sort, so the
+  // result is exactly std::stable_sort's — duplicate coordinates keep their
+  // input order — and the count table never exceeds 2^16 entries, whatever
+  // the extents.
+  constexpr int kMaxDigitBits = 16;
+  std::vector<uint32_t> perm(n), next(n);
+  std::iota(perm.begin(), perm.end(), 0U);
+  std::vector<uint16_t> digit(n);
+  std::vector<uint32_t> count;
+  for (auto it = dim_order.rbegin(); it != dim_order.rend(); ++it) {
+    const size_t d = static_cast<size_t>(*it);
+    Coord lo = coords[0][d], hi = coords[0][d];
+    for (const Key& c : coords) {
+      lo = std::min(lo, c[d]);
+      hi = std::max(hi, c[d]);
     }
-    return false;
-  });
-  std::vector<std::array<Coord, rt::kMaxDim>> new_coords;
-  std::vector<double> new_vals;
-  new_coords.reserve(coords.size());
-  new_vals.reserve(vals.size());
-  for (size_t idx : perm) {
-    new_coords.push_back(coords[idx]);
-    new_vals.push_back(vals[idx]);
+    const int bits =
+        std::bit_width(static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo));
+    if (bits == 0) continue;  // one distinct value: already in order
+    const int passes = (bits + kMaxDigitBits - 1) / kMaxDigitBits;
+    const int width = (bits + passes - 1) / passes;
+    const uint64_t mask = (uint64_t{1} << width) - 1;
+    for (int pass = 0; pass < passes; ++pass) {
+      const int shift = pass * width;
+      count.assign((size_t{1} << width) + 1, 0);
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t off = static_cast<uint64_t>(coords[perm[i]][d]) -
+                             static_cast<uint64_t>(lo);
+        digit[i] = static_cast<uint16_t>((off >> shift) & mask);
+        ++count[digit[i] + 1];
+      }
+      if (count[digit[0] + 1] == n) continue;  // one digit value: no move
+      for (size_t b = 1; b < count.size(); ++b) count[b] += count[b - 1];
+      for (size_t i = 0; i < n; ++i) next[count[digit[i]]++] = perm[i];
+      perm.swap(next);
+    }
+  }
+  std::vector<Key> new_coords(n);
+  std::vector<double> new_vals(n);
+  for (size_t i = 0; i < n; ++i) {
+    new_coords[i] = coords[perm[i]];
+    new_vals[i] = vals[perm[i]];
   }
   coords = std::move(new_coords);
   vals = std::move(new_vals);
@@ -49,20 +99,18 @@ void Coo::sort(const std::vector<int>& dim_order) {
 
 void Coo::sort_and_combine(const std::vector<int>& dim_order) {
   sort(dim_order);
-  std::vector<std::array<Coord, rt::kMaxDim>> new_coords;
-  std::vector<double> new_vals;
-  new_coords.reserve(coords.size());
-  new_vals.reserve(vals.size());
+  size_t kept = 0;
   for (size_t idx = 0; idx < coords.size(); ++idx) {
-    if (!new_coords.empty() && new_coords.back() == coords[idx]) {
-      new_vals.back() += vals[idx];
+    if (kept > 0 && coords[kept - 1] == coords[idx]) {
+      vals[kept - 1] += vals[idx];
     } else {
-      new_coords.push_back(coords[idx]);
-      new_vals.push_back(vals[idx]);
+      coords[kept] = coords[idx];
+      vals[kept] = vals[idx];
+      ++kept;
     }
   }
-  coords = std::move(new_coords);
-  vals = std::move(new_vals);
+  coords.resize(kept);
+  vals.resize(kept);
 }
 
 int64_t TensorStorage::bytes() const {
@@ -74,6 +122,38 @@ int64_t TensorStorage::bytes() const {
     if (l.crd) b += l.crd->size_bytes();
   }
   return b;
+}
+
+TensorStorage copy_pattern(const std::string& name,
+                           const TensorStorage& src) {
+  SPD_ASSERT(!src.format_.all_dense() && !src.format_.mode(0).is_blocked(),
+             "copy_pattern: " << src.name_ << " is dense or blocked");
+  TensorStorage st;
+  st.name_ = name;
+  st.format_ = src.format_;
+  st.dims_ = src.dims_;
+  for (size_t l = 0; l < src.levels_.size(); ++l) {
+    const LevelStorage& from = src.levels_[l];
+    LevelStorage level = from;
+    const std::string suffix = std::to_string(l + 1);
+    if (from.pos) {
+      level.pos = rt::make_region<rt::PosRange>(from.pos->space(),
+                                                name + ".pos" + suffix);
+      level.pos->data() = from.pos->data();
+    }
+    if (from.crd) {
+      level.crd = rt::make_region<int32_t>(from.crd->space(),
+                                           name + ".crd" + suffix);
+      level.crd->data() = from.crd->data();
+    }
+    st.levels_.push_back(std::move(level));
+  }
+  // Every last-level position holds one stored value, as in pack's output
+  // for the same coordinates.
+  st.nnz_ = st.levels_.back().positions;
+  st.vals_ = rt::make_region<double>(rt::IndexSpace(std::max<Coord>(st.nnz_, 1)),
+                                     name + ".vals");
+  return st;
 }
 
 namespace {

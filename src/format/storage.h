@@ -18,17 +18,12 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "format/format.h"
 #include "runtime/index_space.h"
 #include "runtime/region.h"
-
-namespace spdistal::data {
-struct SparsityFingerprint;
-}
 
 namespace spdistal::fmt {
 
@@ -48,7 +43,8 @@ struct Coo {
 
   // Stable coordinate-lexicographic sort by the given dimension order
   // (storage order): entries with equal coordinates keep their input order,
-  // so unordered input lists round-trip deterministically.
+  // so unordered input lists round-trip deterministically. O(n) when the
+  // list is already sorted; otherwise a radix sort, linear in the entries.
   void sort(const std::vector<int>& dim_order);
 
   // Sorts lexicographically by the given dimension order (storage order) and
@@ -106,14 +102,6 @@ class TensorStorage {
   // explicit zeros.
   Coo to_coo() const;
 
-  // Sparsity sketch computed once at pack time; null for storages assembled
-  // outside pack(). Shared so plan-cache keys reuse one immutable copy
-  // instead of re-scanning coordinates per compile.
-  const std::shared_ptr<const data::SparsityFingerprint>& fingerprint()
-      const {
-    return fingerprint_;
-  }
-
   std::string str() const;
 
  private:
@@ -124,6 +112,8 @@ class TensorStorage {
                                     const Format& format,
                                     const std::vector<Coord>& dims,
                                     const Coo& coo);
+  friend TensorStorage copy_pattern(const std::string& name,
+                                    const TensorStorage& src);
 
   std::string name_;
   Format format_;
@@ -131,7 +121,6 @@ class TensorStorage {
   std::vector<LevelStorage> levels_;
   rt::RegionRef<double> vals_;
   int64_t nnz_ = 0;
-  std::shared_ptr<const data::SparsityFingerprint> fingerprint_;
 };
 
 // Pack behavior knobs.
@@ -150,6 +139,12 @@ struct PackOptions {
 TensorStorage pack(const std::string& name, const Format& format,
                    const std::vector<Coord>& dims, Coo coo,
                    const PackOptions& options = {});
+
+// Zero-valued storage named `name` with `src`'s coordinate tree: what pack
+// builds from src's stored coordinates with zero values. Fresh pos/crd
+// regions hold copies of src's, created with pack's names and in pack's
+// order (.posN, .crdN per level, then .vals). `src` must not be Blocked.
+TensorStorage copy_pattern(const std::string& name, const TensorStorage& src);
 
 // Exact structural and numerical equality of the stored non-zeros
 // (independent of format).

@@ -13,9 +13,14 @@
 //   * a term whose sparse accesses all use identical variable lists:
 //     the intersection of their patterns (element-wise products);
 //   * across terms: the union of term patterns (SpAdd3).
-// Statements that preserve the input pattern exactly (single sparse input,
-// same variables, e.g. SpTTV) are detected so callers can skip re-assembly,
-// matching the paper's metadata-copying fast path.
+// Patterns are flat coordinate vectors sorted in the output's storage order
+// (sorted only when the projection is not already in order), so
+// intersections and unions are linear merges. When the output preserves
+// its one sparse input's pattern exactly (single term, single sparse
+// access with the output's variables, e.g. SDDMM) and both share dims and a
+// format with unique, non-blocked levels, the output's pos/crd are copies
+// of the input's — the paper's metadata-copying fast path — and nothing is
+// projected or packed.
 #pragma once
 
 #include "tensor/tensor.h"

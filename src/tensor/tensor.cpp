@@ -157,23 +157,21 @@ void Tensor::init_dense(
     const std::function<double(const std::array<Coord, rt::kMaxDim>&)>& fn) {
   SPD_CHECK(data_->format.all_dense(), NotationError,
             "init_dense on sparse tensor " << data_->name);
-  // Walk every coordinate of the dense space.
-  auto& vals = *data_->storage.vals();
+  // Odometer over the dense space in storage order: position p is the
+  // row-major number of c's coordinates taken level by level.
+  const fmt::TensorStorage& st = data_->storage;
+  const int order = st.num_levels();
+  std::vector<double>& vals = data_->storage.vals()->data();
   std::array<Coord, rt::kMaxDim> c{};
-  const int order = data_->format.order();
-  Coord pos = 0;
-  std::function<void(int)> rec = [&](int level) {
-    if (level == order) {
-      vals.at_linear(pos++) = fn(c);
-      return;
+  for (size_t p = 0; p < vals.size(); ++p) {
+    vals[p] = fn(c);
+    for (int l = order - 1; l >= 0; --l) {
+      const fmt::LevelStorage& level = st.level(l);
+      Coord& x = c[static_cast<size_t>(level.dim)];
+      if (++x < level.extent) break;
+      x = 0;
     }
-    const int dim = data_->format.dim_of_level(level);
-    for (Coord v = 0; v < data_->dims[static_cast<size_t>(dim)]; ++v) {
-      c[static_cast<size_t>(dim)] = v;
-      rec(level + 1);
-    }
-  };
-  rec(0);
+  }
 }
 
 void Tensor::zero() {

@@ -1,7 +1,9 @@
 // Tests for the general co-iteration engine and two-phase assembly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <set>
 
 #include "common/rng.h"
 #include "data/generators.h"
@@ -393,6 +395,273 @@ TEST(Assembly, RejectsUncoveredOutputVar) {
   // A(i,j) = s(i): j is not covered by any sparse input.
   Statement& stmt = (A(i, j) = s(i));
   EXPECT_THROW(assemble_output(stmt), NotationError);
+}
+
+// --- assembly: metadata copy vs projection ------------------------------------
+
+// Stored values the coordinate walk visits (what a projection reads).
+int64_t stored_values(const Tensor& t) {
+  int64_t n = 0;
+  t.storage().for_each([&](const auto&, double) { ++n; });
+  return n;
+}
+
+// The symbolic phase costs 12 bytes per visited stored value and 24 per
+// assembled output entry, whichever path built the output.
+void expect_symbolic_work(const AssemblyResult& res, int64_t visited) {
+  EXPECT_EQ(res.symbolic_work.flops, 0.0);
+  EXPECT_EQ(res.symbolic_work.bytes,
+            12.0 * static_cast<double>(visited) +
+                24.0 * static_cast<double>(res.output_nnz));
+}
+
+// What the general path builds for a pattern-preserving output: `in`'s
+// stored coordinates with zero values, packed in `format`.
+fmt::TensorStorage packed_pattern(const std::string& name,
+                                  const fmt::Format& format, const Tensor& in) {
+  fmt::Coo coo;
+  coo.dims = in.dims();
+  in.storage().for_each([&](const auto& c, double) { coo.push(c, 0.0); });
+  return fmt::pack(name, format, in.dims(), std::move(coo));
+}
+
+// Region names of a storage in creation (id) order.
+std::vector<std::string> regions_in_creation_order(
+    const fmt::TensorStorage& st) {
+  std::vector<std::pair<rt::RegionId, std::string>> regions;
+  for (int l = 0; l < st.num_levels(); ++l) {
+    const fmt::LevelStorage& level = st.level(l);
+    if (level.pos) regions.emplace_back(level.pos->id(), level.pos->name());
+    if (level.crd) regions.emplace_back(level.crd->id(), level.crd->name());
+  }
+  regions.emplace_back(st.vals()->id(), st.vals()->name());
+  std::sort(regions.begin(), regions.end());
+  std::vector<std::string> names;
+  for (auto& r : regions) names.push_back(std::move(r.second));
+  return names;
+}
+
+// Level-by-level equality: sizes, pos/crd contents, region names and
+// creation order, and an all-zero vals region of the same size.
+void expect_same_storage(const fmt::TensorStorage& got,
+                         const fmt::TensorStorage& want) {
+  EXPECT_TRUE(fmt::storage_equals(got, want));
+  EXPECT_EQ(got.nnz(), want.nnz());
+  ASSERT_EQ(got.num_levels(), want.num_levels());
+  for (int l = 0; l < got.num_levels(); ++l) {
+    const fmt::LevelStorage& g = got.level(l);
+    const fmt::LevelStorage& w = want.level(l);
+    EXPECT_EQ(g.positions, w.positions) << "level " << l;
+    EXPECT_EQ(g.parent_positions, w.parent_positions) << "level " << l;
+    ASSERT_EQ(g.pos != nullptr, w.pos != nullptr) << "level " << l;
+    ASSERT_EQ(g.crd != nullptr, w.crd != nullptr) << "level " << l;
+    if (g.pos) {
+      ASSERT_EQ(g.pos->data().size(), w.pos->data().size()) << "level " << l;
+      for (size_t q = 0; q < g.pos->data().size(); ++q) {
+        EXPECT_EQ(g.pos->data()[q].lo, w.pos->data()[q].lo);
+        EXPECT_EQ(g.pos->data()[q].hi, w.pos->data()[q].hi);
+      }
+    }
+    if (g.crd) {
+      EXPECT_EQ(g.crd->data(), w.crd->data()) << "level " << l;
+    }
+  }
+  EXPECT_EQ(got.vals()->data(), want.vals()->data());
+  for (double v : got.vals()->data()) {
+    EXPECT_EQ(v, 0.0);
+  }
+  EXPECT_EQ(regions_in_creation_order(got), regions_in_creation_order(want));
+}
+
+fmt::Coo with_explicit_zero(fmt::Coo coo) {
+  std::array<Coord, rt::kMaxDim> c{};
+  for (size_t d = 0; d < coo.dims.size(); ++d) c[d] = coo.dims[d] - 1;
+  coo.push(c, 0.0);  // stored, so it belongs to the pattern
+  return coo;
+}
+
+TEST(Assembly, CopyPathMatchesGeneralPath) {
+  IndexVar i("i"), j("j"), k("k");
+  for (const fmt::Format& f : {fmt::csr(), fmt::dcsr()}) {
+    Tensor A("A", {60, 50}, f);
+    Tensor B("B", {60, 50}, f);
+    Tensor C("C", {60, 4}, fmt::dense_matrix());
+    Tensor D("D", {4, 50}, fmt::dense_matrix());
+    B.from_coo(with_explicit_zero(data::powerlaw_matrix(60, 50, 500, 1.1, 3)));
+    C.init_dense([](const auto& x) { return 1.0 + static_cast<double>(x[0]); });
+    D.init_dense([](const auto& x) { return 0.5 * static_cast<double>(x[1]); });
+    Statement& stmt = (A(i, j) = B(i, j) * C(i, k) * D(k, j));
+    const AssemblyResult res = assemble_output(stmt);
+    EXPECT_TRUE(res.pattern_preserved) << f.str();
+    EXPECT_EQ(res.output_nnz, stored_values(B)) << f.str();
+    expect_symbolic_work(res, stored_values(B));
+    expect_same_storage(A.storage(), packed_pattern("A", f, B));
+    CoiterEngine eng(stmt);
+    A.zero();
+    eng.run();
+    EXPECT_LE(ref::max_abs_diff(A, ref::eval(stmt)), 1e-12) << f.str();
+  }
+  Tensor A("A", {9, 8, 7}, fmt::csf3());
+  Tensor B("B", {9, 8, 7}, fmt::csf3());
+  Tensor c("c", {7}, fmt::dense_vector());
+  B.from_coo(with_explicit_zero(data::uniform_3tensor(9, 8, 7, 120, 4)));
+  c.init_dense([](const auto& x) { return 1.0 + static_cast<double>(x[0]); });
+  Statement& stmt = (A(i, j, k) = B(i, j, k) * c(k));
+  const AssemblyResult res = assemble_output(stmt);
+  EXPECT_TRUE(res.pattern_preserved);
+  expect_symbolic_work(res, stored_values(B));
+  expect_same_storage(A.storage(), packed_pattern("A", fmt::csf3(), B));
+  CoiterEngine eng(stmt);
+  A.zero();
+  eng.run();
+  EXPECT_LE(ref::max_abs_diff(A, ref::eval(stmt)), 1e-12);
+}
+
+// An output whose format differs from its operand's still preserves the
+// pattern, but projects and packs it in its own format.
+TEST(Assembly, MixedFormatsProjectAndPack) {
+  IndexVar i("i"), j("j"), k("k");
+  const fmt::Coo coo = data::powerlaw_matrix(40, 30, 300, 1.1, 5);
+  const std::pair<fmt::Format, fmt::Format> cases[] = {
+      {fmt::dcsr(), fmt::csr()}, {fmt::csr(), fmt::dcsr()}};
+  for (const auto& [out_format, in_format] : cases) {
+    Tensor A("A", {40, 30}, out_format);
+    Tensor B("B", {40, 30}, in_format);
+    Tensor C("C", {40, 3}, fmt::dense_matrix());
+    Tensor D("D", {3, 30}, fmt::dense_matrix());
+    B.from_coo(coo);
+    C.init_dense([](const auto& x) { return 1.0 + static_cast<double>(x[1]); });
+    D.init_dense([](const auto& x) { return 2.0 - static_cast<double>(x[0]); });
+    Statement& stmt = (A(i, j) = B(i, j) * C(i, k) * D(k, j));
+    const AssemblyResult res = assemble_output(stmt);
+    EXPECT_TRUE(res.pattern_preserved);
+    expect_symbolic_work(res, stored_values(B));
+    expect_same_storage(A.storage(), packed_pattern("A", out_format, B));
+    CoiterEngine eng(stmt);
+    A.zero();
+    eng.run();
+    EXPECT_LE(ref::max_abs_diff(A, ref::eval(stmt)), 1e-12)
+        << out_format.str() << " <- " << in_format.str();
+  }
+}
+
+// Duplicates of a coalesce-off COO operand are visited (and charged) once
+// each but assemble into one output entry, in either output format.
+TEST(Assembly, CooDuplicatesAssembleOnce) {
+  IndexVar i("i"), j("j");
+  fmt::Coo coo = small_csr_coo();
+  coo.push({1, 3}, 0.5);
+  coo.push({0, 0}, -1.5);
+  coo.push({1, 3}, 2.0);
+  fmt::PackOptions raw;
+  raw.coalesce = false;
+  for (const fmt::Format& out_format : {fmt::coo(2), fmt::csr()}) {
+    Tensor A("A", {4, 4}, out_format);
+    Tensor B("B", {4, 4}, fmt::coo(2));
+    Tensor C("C", {4, 4}, fmt::dense_matrix());
+    B.set_storage(fmt::pack("B", fmt::coo(2), {4, 4}, coo, raw));
+    C.init_dense([](const auto& x) {
+      return 1.0 + static_cast<double>(x[0] * 4 + x[1]);
+    });
+    Statement& stmt = (A(i, j) = B(i, j) * C(i, j));
+    const AssemblyResult res = assemble_output(stmt);
+    EXPECT_TRUE(res.pattern_preserved);
+    EXPECT_EQ(stored_values(B), 11);
+    EXPECT_EQ(res.output_nnz, 8);
+    expect_symbolic_work(res, 11);
+    fmt::Coo distinct = small_csr_coo();
+    for (double& v : distinct.vals) v = 0.0;
+    expect_same_storage(A.storage(),
+                        fmt::pack("A", out_format, {4, 4}, distinct));
+    if (out_format == fmt::csr()) {
+      CoiterEngine eng(stmt);
+      A.zero();
+      eng.run();
+      EXPECT_LE(ref::max_abs_diff(A, ref::eval(stmt)), 1e-12);
+    }
+  }
+}
+
+// SpAdd3 over overlapping patterns: the output is exactly their union.
+TEST(Assembly, SpAdd3OverlappingUnion) {
+  IndexVar i("i"), j("j");
+  const fmt::Coo b = data::powerlaw_matrix(50, 50, 400, 1.1, 6);
+  const fmt::Coo c = data::shift_last_dim(b, 1);
+  const fmt::Coo d = data::uniform_matrix(50, 50, 200, 7);
+  Tensor A("A", {50, 50}, fmt::csr());
+  Tensor B("B", {50, 50}, fmt::csr());
+  Tensor C("C", {50, 50}, fmt::dcsr());
+  Tensor D("D", {50, 50}, fmt::csr());
+  B.from_coo(b);
+  C.from_coo(c);
+  D.from_coo(d);
+  Statement& stmt = (A(i, j) = B(i, j) + C(i, j) + D(i, j));
+  const AssemblyResult res = assemble_output(stmt);
+  EXPECT_FALSE(res.pattern_preserved);
+  std::set<std::array<Coord, rt::kMaxDim>> want;
+  for (const Tensor* t : {&B, &C, &D}) {
+    t->storage().for_each([&](const auto& x, double) { want.insert(x); });
+  }
+  EXPECT_LT(static_cast<int64_t>(want.size()),
+            stored_values(B) + stored_values(C) + stored_values(D));
+  EXPECT_EQ(res.output_nnz, static_cast<int64_t>(want.size()));
+  expect_symbolic_work(res,
+                       stored_values(B) + stored_values(C) + stored_values(D));
+  fmt::Coo pattern;
+  pattern.dims = {50, 50};
+  for (const auto& x : want) pattern.push(x, 0.0);
+  expect_same_storage(A.storage(),
+                      fmt::pack("A", fmt::csr(), {50, 50}, pattern));
+  CoiterEngine eng(stmt);
+  A.zero();
+  eng.run();
+  EXPECT_LE(ref::max_abs_diff(A, ref::eval(stmt)), 1e-12);
+}
+
+// Projections that visit the operand in an order the output's storage
+// order does not follow are sorted before packing: a transpose, and a
+// reduction over a middle variable (k repeats under each j).
+TEST(Assembly, UnsortedProjectionsAreSorted) {
+  IndexVar i("i"), j("j"), k("k");
+  Tensor A("A", {30, 40}, fmt::csr());
+  Tensor B("B", {40, 30}, fmt::csr());
+  Tensor c("c", {30}, fmt::dense_vector());
+  B.from_coo(data::powerlaw_matrix(40, 30, 250, 1.1, 8));
+  Statement& transpose = (A(j, i) = B(i, j) * c(j));
+  const AssemblyResult res = assemble_output(transpose);
+  EXPECT_FALSE(res.pattern_preserved);
+  EXPECT_EQ(res.output_nnz, stored_values(B));
+  expect_symbolic_work(res, stored_values(B));
+  fmt::Coo transposed;
+  transposed.dims = {30, 40};
+  B.storage().for_each(
+      [&](const auto& x, double) { transposed.push({x[1], x[0]}, 0.0); });
+  expect_same_storage(A.storage(),
+                      fmt::pack("A", fmt::csr(), {30, 40}, transposed));
+
+  Tensor X("X", {9, 7}, fmt::csr());
+  Tensor T("T", {9, 8, 7}, fmt::csf3());
+  Tensor v("v", {8}, fmt::dense_vector());
+  T.from_coo(data::uniform_3tensor(9, 8, 7, 150, 9));
+  v.init_dense([](const auto& x) { return 1.0 + static_cast<double>(x[0]); });
+  Statement& reduce = (X(i, k) = T(i, j, k) * v(j));
+  const AssemblyResult r = assemble_output(reduce);
+  EXPECT_FALSE(r.pattern_preserved);
+  expect_symbolic_work(r, stored_values(T));
+  std::set<std::array<Coord, rt::kMaxDim>> want;
+  T.storage().for_each([&](const auto& x, double) {
+    want.insert({x[0], x[2], 0, 0});
+  });
+  EXPECT_EQ(r.output_nnz, static_cast<int64_t>(want.size()));
+  fmt::Coo projected;
+  projected.dims = {9, 7};
+  for (const auto& x : want) projected.push(x, 0.0);
+  expect_same_storage(X.storage(),
+                      fmt::pack("X", fmt::csr(), {9, 7}, projected));
+  CoiterEngine eng(reduce, {i, j, k});
+  X.zero();
+  eng.run();
+  EXPECT_LE(ref::max_abs_diff(X, ref::eval(reduce)), 1e-12);
 }
 
 // Property: random einsum-like statements evaluated by the engine agree

@@ -1,6 +1,9 @@
 // Tests for the format language, COO handling, and packing (Figure 3 / §III-B).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "common/rng.h"
 #include "format/storage.h"
 
@@ -443,6 +446,85 @@ TEST_P(FormatRoundTripProperty, AllFormatsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(RandomTensors, FormatRoundTripProperty,
                          ::testing::Range(0, 20));
+
+// Property: Coo::sort (a radix sort with an O(n) sorted check) orders
+// exactly like std::stable_sort on the same storage order — coordinates and
+// values, duplicates in their input order — for orders 1-4, permuted
+// orderings and extents up to 2^31 - 1; a coalesce-off pack keeps that order.
+class CooSortProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(CooSortProperty, MatchesStableSort) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 11);
+  const int order = 1 + GetParam() % 4;
+  const Coord kExtents[] = {1, 7, 300, 65536, 65537, 1 << 20,
+                            (Coord{1} << 31) - 1};
+  Coo coo;
+  for (int d = 0; d < order; ++d) {
+    coo.dims.push_back(kExtents[rng.next_below(std::size(kExtents))]);
+  }
+  std::vector<int> dim_order(static_cast<size_t>(order));
+  std::iota(dim_order.begin(), dim_order.end(), 0);
+  for (int d = order - 1; d > 0; --d) {
+    std::swap(dim_order[static_cast<size_t>(d)],
+              dim_order[rng.next_below(static_cast<uint64_t>(d) + 1)]);
+  }
+  // Distinct values tag each entry; every fourth entry repeats an earlier
+  // coordinate, so duplicates (and their input order) are exercised.
+  const int64_t n = 1 + static_cast<int64_t>(rng.next_below(3000));
+  for (int64_t e = 0; e < n; ++e) {
+    std::array<Coord, rt::kMaxDim> c{};
+    if (e > 0 && rng.next_below(4) == 0) {
+      c = coo.coords[rng.next_below(static_cast<uint64_t>(e))];
+    } else {
+      for (int d = 0; d < order; ++d) {
+        c[static_cast<size_t>(d)] = static_cast<Coord>(
+            rng.next_below(static_cast<uint64_t>(coo.dims[static_cast<size_t>(d)])));
+      }
+    }
+    coo.push(c, static_cast<double>(e));
+  }
+
+  std::vector<size_t> perm(coo.coords.size());
+  std::iota(perm.begin(), perm.end(), 0);
+  std::stable_sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
+    for (int d : dim_order) {
+      const Coord x = coo.coords[a][static_cast<size_t>(d)];
+      const Coord y = coo.coords[b][static_cast<size_t>(d)];
+      if (x != y) return x < y;
+    }
+    return false;
+  });
+  Coo sorted = coo;
+  sorted.sort(dim_order);
+  ASSERT_EQ(sorted.nnz(), coo.nnz());
+  for (size_t e = 0; e < perm.size(); ++e) {
+    ASSERT_EQ(sorted.coords[e], coo.coords[perm[e]]) << "entry " << e;
+    ASSERT_EQ(sorted.vals[e], coo.vals[perm[e]]) << "entry " << e;
+  }
+  // Sorting again takes the already-sorted exit and changes nothing.
+  Coo again = sorted;
+  again.sort(dim_order);
+  EXPECT_EQ(again.coords, sorted.coords);
+  EXPECT_EQ(again.vals, sorted.vals);
+
+  // A coalesce-off COO pack (identity storage order) stores one entry per
+  // input entry, duplicates in input order (coo(1) is unique: no pack).
+  if (order == 1) return;
+  Coo ref = coo;
+  std::iota(perm.begin(), perm.end(), 0);
+  std::stable_sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
+    return coo.coords[a] < coo.coords[b];
+  });
+  PackOptions raw;
+  raw.coalesce = false;
+  TensorStorage st = pack("R", fmt::coo(order), coo.dims, std::move(ref), raw);
+  ASSERT_EQ(st.nnz(), n);
+  for (size_t e = 0; e < perm.size(); ++e) {
+    ASSERT_EQ(st.vals()->data()[e], coo.vals[perm[e]]) << "entry " << e;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomCoos, CooSortProperty, ::testing::Range(0, 24));
 
 }  // namespace
 }  // namespace spdistal::fmt

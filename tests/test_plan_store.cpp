@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <thread>
 
 #include "autosched/autosched.h"
@@ -346,6 +347,60 @@ TEST(PlanStore, FingerprintDistanceSeparatesShapes) {
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, fp);
   EXPECT_EQ(fp.distance(*parsed), 0.0);
+}
+
+// The fingerprint reads levels through flat loops; it must equal the sketch
+// of the coordinate walk (every stored value, padding lanes and explicit
+// zeros included, bucketed by its top storage coordinate) on every format.
+data::SparsityFingerprint walked_fingerprint(const fmt::TensorStorage& st) {
+  data::SparsityFingerprint fp;
+  fp.dims = st.dims();
+  fp.has_pattern = true;
+  fp.nnz = st.nnz();
+  const int top = st.format().dim_of_level(0);
+  const Coord extent = std::max<Coord>(st.dims()[static_cast<size_t>(top)], 1);
+  std::map<Coord, int64_t> degree;
+  st.for_each([&](const std::array<Coord, rt::kMaxDim>& c, double) {
+    const Coord row = c[static_cast<size_t>(top)];
+    const size_t b = static_cast<size_t>(
+        row * data::SparsityFingerprint::kHistBuckets / extent);
+    fp.hist[std::min<size_t>(b, data::SparsityFingerprint::kHistBuckets - 1)]++;
+    degree[row]++;
+  });
+  for (const auto& [row, deg] : degree) {
+    int b = 0;
+    while ((int64_t{1} << (b + 1)) <= deg &&
+           b + 1 < data::SparsityFingerprint::kDegreeBuckets) {
+      ++b;
+    }
+    fp.degree[static_cast<size_t>(b)]++;
+  }
+  return fp;
+}
+
+TEST(PlanStore, FingerprintMatchesCoordinateWalkOnEveryFormat) {
+  const fmt::Coo m = data::powerlaw_matrix(203, 197, 2500, 1.2, 5);
+  const fmt::Format compressed_dense(
+      {fmt::ModeFormat::Compressed(), fmt::ModeFormat::Dense()});
+  for (const fmt::Format& f :
+       {fmt::csr(), fmt::csc(), fmt::dcsr(), fmt::coo(2), fmt::bcsr(4, 4),
+        fmt::bcsr(3, 5), compressed_dense}) {
+    const fmt::TensorStorage st = fmt::pack("M", f, m.dims, m);
+    EXPECT_EQ(data::fingerprint(st), walked_fingerprint(st)) << f.str();
+  }
+  const fmt::Coo t = data::uniform_3tensor(31, 17, 23, 900, 6);
+  for (const fmt::Format& f : {fmt::csf3(), fmt::ddc3(), fmt::coo(3)}) {
+    const fmt::TensorStorage st = fmt::pack("T", f, t.dims, t);
+    EXPECT_EQ(data::fingerprint(st), walked_fingerprint(st)) << f.str();
+  }
+  // A coalesce-off COO root repeats coordinates across positions.
+  fmt::Coo dup = m;
+  dup.push(m.coords[0], 1.0);
+  dup.push(m.coords[7], 2.0);
+  fmt::PackOptions raw;
+  raw.coalesce = false;
+  const fmt::TensorStorage st = fmt::pack("D", fmt::coo(2), dup.dims, dup, raw);
+  EXPECT_EQ(data::fingerprint(st), walked_fingerprint(st));
 }
 
 // --- concurrency --------------------------------------------------------------
